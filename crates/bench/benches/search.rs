@@ -11,7 +11,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use peak_core::consultant::Method;
 use peak_core::rating::{rate, TuningSetup};
-use peak_core::search::{exhaustive, iterative_elimination, random_search};
+use peak_core::search::{exhaustive, iterative_elimination};
+use peak_core::{FrontierRater, RandomSearchStrategy, SearchStrategy};
 use peak_opt::{Flag, OptConfig};
 use peak_sim::MachineSpec;
 use peak_workloads::{art::ArtMatch, Dataset};
@@ -67,7 +68,11 @@ fn bench(c: &mut Criterion) {
     };
     let ie = run("iterative-elimination", &|s| iterative_elimination(s, Method::Rbr));
     let ex = run("exhaustive (5 flags)", &|s| exhaustive(s, Method::Rbr, &SUBSPACE));
-    let _ = run("random (24 samples)", &|s| random_search(s, Method::Rbr, 24, 0.15, 9));
+    let _ = run("random (24 samples)", &|s| {
+        let random = RandomSearchStrategy { samples: 24, p_off_per_mille: 150, seed: 9 };
+        let pool = s.pool().clone();
+        random.run(&mut FrontierRater::pooled(s, pool, Method::Rbr))
+    });
     assert!(
         ie.disabled_flags.iter().any(|f| f == "strict-aliasing"),
         "IE finds the aliasing win"

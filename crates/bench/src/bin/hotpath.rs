@@ -920,7 +920,7 @@ fn table1_rows(pool: &peak_core::Pool) -> Vec<String> {
 /// one pays (and, at >1 threads, parallelizes) the same compile work.
 fn search_bench(json_path: &str) {
     use peak_core::consultant::Method;
-    use peak_core::{iterative_elimination_parallel_capped, Pool, TuningSetup};
+    use peak_core::{FrontierRater, IterativeElimination, Pool, SearchStrategy, TuningSetup};
 
     const SEARCH_ROUNDS: usize = 2;
     let default_threads = peak_core::default_threads();
@@ -956,8 +956,8 @@ fn search_bench(json_path: &str) {
         let pool = Pool::with_threads(k);
         let mut setup = TuningSetup::new(swim.as_ref(), spec.clone(), Dataset::Train);
         let start = Instant::now();
-        let result =
-            iterative_elimination_parallel_capped(&mut setup, Method::Cbr, &pool, SEARCH_ROUNDS);
+        let ie = IterativeElimination { max_rounds: SEARCH_ROUNDS, ..Default::default() };
+        let result = ie.run(&mut FrontierRater::pooled(&mut setup, pool, Method::Cbr));
         let secs = start.elapsed().as_secs_f64();
         println!(
             "  parallel IE    threads={k:<2}  {secs:7.2}s  ({} ratings, {} runs)",

@@ -8,7 +8,7 @@
 //! * panicking jobs are retried and reported, and the shared pool stays
 //!   healthy for the jobs after them;
 //! * valid jobs' results are **bit-identical** to offline
-//!   [`peak_core::tune_traced_pooled`] — serving adds failure handling,
+//!   [`peak_core::tune`] on the same pool — serving adds failure handling,
 //!   never answer drift;
 //! * `stats` and `health` answer on a second connection while the job
 //!   queue is saturated, and panicking jobs leave post-mortem artifacts
@@ -255,14 +255,8 @@ fn main() {
             Some(name) => peak_core::method_by_name(name).expect("storm method"),
             None => consult(workload.as_ref(), &spec).order[0],
         };
-        let offline = peak_core::tune_traced_pooled(
-            workload.as_ref(),
-            &spec,
-            m,
-            Dataset::Train,
-            Tracer::disabled(),
-            &pool,
-        );
+        let options = peak_core::TuneOptions { pool: pool.clone(), ..Default::default() };
+        let offline = peak_core::tune(workload.as_ref(), &spec, m, Dataset::Train, &options);
         assert_eq!(
             served,
             offline.to_json().compact(),

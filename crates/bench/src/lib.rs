@@ -109,8 +109,8 @@ pub fn figure7_cell_pooled(
     } else {
         tracer
     };
-    let report =
-        peak_core::tune_traced_pooled(workload.as_ref(), &spec, method, tuned_on, tracer, pool);
+    let options = peak_core::TuneOptions { tracer, pool: pool.clone(), ..Default::default() };
+    let report = peak_core::tune(workload.as_ref(), &spec, method, tuned_on, &options);
     Figure7Cell { report, tuning_time_vs_whl: None }
 }
 

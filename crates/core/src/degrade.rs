@@ -1,21 +1,35 @@
-//! Graceful degradation of the rating layer (robustness extension).
+//! The paper's §3 method fallback and its fault-tolerant extension.
 //!
-//! The paper's §3 fallback ("if the system cannot achieve enough accuracy
-//! … it switches to the next applicable rating method") assumes the only
-//! failure mode is an unconverged window. Under injected faults — version
-//! crashes, measurement dropout, jitter bursts — a rating can fail in
-//! ways retrying cannot fix. The [`RatingSupervisor`] wraps
-//! [`rate_with`](crate::rating::rate_with) with:
+//! §3: "if the system cannot achieve enough accuracy … it switches to
+//! the next applicable rating method". [`RatingSupervisor`] is the only
+//! code that walks this cascade, under one of two policies:
 //!
-//! 1. **Retry with backoff**: an unconverged rating is retried with a
-//!    widened window budget (`window_scale *= widen_factor`), up to
-//!    `max_retries` times and within an optional tuning-cycle budget;
-//! 2. **Fallback cascade**: persistent failures walk down
-//!    preferred → consultant order → WHL, which is terminal and
-//!    best-effort (it accepts whatever it measures);
-//! 3. **Structured logging**: every downgrade is recorded as a
-//!    [`DegradeEvent`] — serializable, so fault scenarios replay to
-//!    byte-identical event streams and checkpoints carry the log.
+//! * **Paper** ([`RatingSupervisor::paper`], every search strategy,
+//!   served job and golden): the preferred method, then the
+//!   consultant's order after it. Each method that rates is judged once
+//!   by the `SWITCH_FRACTION` rule; a failure counts one switch, and
+//!   the last method's outcome is used even when it fails too.
+//! * **Supervised** ([`RatingSupervisor::default`], the checkpointed
+//!   [`Tuner`](crate::tuner::Tuner) and the fault experiments), which
+//!   expects injected faults — version crashes, measurement dropout,
+//!   jitter bursts — that a single judgement cannot tell apart from
+//!   noise:
+//!   1. **Retry with backoff**: an unconverged rating is retried with a
+//!      widened window budget (`window_scale *= WIDEN_FACTOR`), up to
+//!      `MAX_RETRIES` times;
+//!   2. **Fatal triggers**: a crash, or a dropout rate above
+//!      `DROPOUT_THRESHOLD`, abandons the method at once (retrying
+//!      cannot fix either);
+//!   3. **Terminal WHL**: the cascade ends in WHL, which accepts
+//!      whatever it measures;
+//!   4. **Structured logging**: every downgrade, inapplicable methods
+//!      included, is recorded as a [`DegradeEvent`] — serializable, so
+//!      fault scenarios replay to byte-identical event streams and
+//!      checkpoints carry the log.
+//!
+//! Under both policies a preferred AVG or WHL baseline rates once and
+//! is not judged: the baselines are the reference, with nowhere to fall
+//! back to.
 
 use crate::consultant::Method;
 use crate::rating::{rate_with, RateOptions, RateOutcome, TuningSetup};
@@ -114,75 +128,70 @@ impl DegradeEvent {
     }
 }
 
-/// Supervisor policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Widening retries per method before degrading.
-    pub max_retries: u32,
-    /// Window-budget multiplier applied per retry.
-    pub widen_factor: f64,
-    /// Dropout rate above which a method is abandoned immediately.
-    pub dropout_threshold: f64,
-    /// Fraction of candidates allowed to stay unconverged (mirrors the
-    /// §3 method-switch trigger).
-    pub switch_fraction: f64,
-    /// Optional tuning-cycle budget: once exceeded, no more retries are
-    /// spent (degradation still proceeds so the rating completes).
-    pub cycle_budget: Option<u64>,
-}
+/// Fraction of candidates allowed to stay unconverged before the walk
+/// switches rating methods (§3's accuracy test).
+pub(crate) const SWITCH_FRACTION: f64 = 0.34;
+/// Supervised policy: widening retries per method before degrading.
+const MAX_RETRIES: u32 = 2;
+/// Supervised policy: window-budget multiplier applied per retry.
+const WIDEN_FACTOR: f64 = 1.8;
+/// Supervised policy: dropout rate above which a method is abandoned at
+/// once.
+const DROPOUT_THRESHOLD: f64 = 0.25;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 2,
-            widen_factor: 1.8,
-            dropout_threshold: 0.25,
-            switch_fraction: crate::search::SWITCH_FRACTION,
-            cycle_budget: None,
-        }
-    }
-}
-
-/// Supervises rating calls: retries, degrades, and logs.
+/// The §3 fallback walk under the paper or the supervised policy (see
+/// the module docs), plus its accounting: switches, supervised calls,
+/// and the degradation log.
 #[derive(Debug, Clone)]
 pub struct RatingSupervisor {
-    config: SupervisorConfig,
+    supervised: bool,
+    switches: u32,
     events: Vec<DegradeEvent>,
     ratings: usize,
 }
 
 impl RatingSupervisor {
-    /// New supervisor with the given policy.
-    pub fn new(config: SupervisorConfig) -> Self {
-        RatingSupervisor { config, events: Vec::new(), ratings: 0 }
+    /// The paper's policy: one judgement per method, no retries, no WHL
+    /// tail, no log.
+    pub fn paper() -> Self {
+        RatingSupervisor { supervised: false, switches: 0, events: Vec::new(), ratings: 0 }
     }
 
-    /// The policy in effect.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
+    /// Method switches so far. Under the paper policy a method that
+    /// rated and failed counts one; under the supervised policy every
+    /// logged downgrade does, so this equals `events().len()`.
+    pub(crate) fn switches(&self) -> u32 {
+        self.switches
     }
 
-    /// All downgrades logged so far.
+    /// All downgrades logged so far (always empty under the paper
+    /// policy).
     pub fn events(&self) -> &[DegradeEvent] {
         &self.events
     }
 
-    /// Supervised rating calls made so far.
+    /// Walks made so far, not counting baseline ratings.
     pub fn ratings(&self) -> usize {
         self.ratings
     }
 
-    /// Restore supervisor state from a checkpoint.
+    /// Restore supervised-policy state from a checkpoint.
     pub fn restore(&mut self, events: Vec<DegradeEvent>, ratings: usize) {
+        self.switches = events.len() as u32;
         self.events = events;
         self.ratings = ratings;
     }
 
     /// The method cascade for a given preferred method: the preferred
-    /// method first, then the consultant's remaining order, ending in WHL
-    /// (always applicable, accepts any outcome).
-    fn cascade(&self, setup: &TuningSetup<'_>, preferred: Method) -> Vec<Method> {
-        let order = &setup.consult.order;
+    /// method first, then the consultant's remaining order; the
+    /// supervised policy ends it in WHL (always applicable, accepts any
+    /// outcome). The preferred method is tried even when the consultant
+    /// left it out of the order (a *forced* method, e.g. Figure 7's
+    /// MGRID_CBR cell), and the walk then starts at the front of the
+    /// order: a forced method that cannot converge falls through like an
+    /// in-order one, and its wasted cycles stay on the bill, which is
+    /// what the figure shows.
+    fn cascade(&self, order: &[Method], preferred: Method) -> Vec<Method> {
         let mut list = vec![preferred];
         let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
         for &m in &order[start.min(order.len())..] {
@@ -190,35 +199,31 @@ impl RatingSupervisor {
                 list.push(m);
             }
         }
-        if !list.contains(&Method::Whl) {
+        if self.supervised && !list.contains(&Method::Whl) {
             list.push(Method::Whl);
         }
         list
     }
 
-    /// Whether the cycle budget still allows spending more on retries.
-    fn budget_allows_retry(&self, setup: &TuningSetup<'_>) -> bool {
-        match self.config.cycle_budget {
-            Some(budget) => setup.tuning_cycles < budget,
-            None => true,
-        }
-    }
-
     /// Inspect an outcome for a reason to abandon the method right away
     /// (retrying cannot fix these: injected crashes are deterministic per
-    /// invocation index, and a lossy channel stays lossy).
+    /// invocation index, and a lossy channel stays lossy). Only the
+    /// supervised policy looks.
     fn fatal_trigger(&self, out: &RateOutcome) -> Option<DegradeTrigger> {
+        if !self.supervised {
+            return None;
+        }
         if out.crashes > 0 {
             return Some(DegradeTrigger::VersionCrash);
         }
-        if out.dropout_rate() > self.config.dropout_threshold {
+        if out.dropout_rate() > DROPOUT_THRESHOLD {
             return Some(DegradeTrigger::DropoutRate);
         }
         None
     }
 
     /// Trigger for an outcome that stayed unconverged after retries.
-    fn unconverged_trigger(&self, out: &RateOutcome) -> DegradeTrigger {
+    fn unconverged_trigger(out: &RateOutcome) -> DegradeTrigger {
         if out.method == Method::Mbr && out.vars.iter().any(|v| !v.is_finite()) {
             DegradeTrigger::IllConditioned
         } else {
@@ -234,9 +239,30 @@ impl RatingSupervisor {
         }
     }
 
-    /// Rate `candidates` against `base`, starting from `preferred` and
-    /// degrading down the cascade as needed. Always returns an outcome:
-    /// the terminal WHL accepts whatever it measures.
+    /// Record that the walk gave up on a method. The paper policy counts
+    /// only a method that rated and failed; the supervised policy logs
+    /// (and counts) every downgrade.
+    fn degrade(&mut self, tracer: &peak_obs::Tracer, event: DegradeEvent, rated: bool) {
+        if !self.supervised {
+            self.switches += rated as u32;
+            return;
+        }
+        event!(
+            tracer,
+            "supervisor.degrade",
+            rating = event.rating as u64,
+            from = event.from.name(),
+            to = event.to.name(),
+            trigger = event.trigger.name(),
+            retries = event.retries as u64,
+        );
+        self.switches += 1;
+        self.events.push(event);
+    }
+
+    /// Rate `candidates` against `base` with the serial interleaved
+    /// protocol, starting from `preferred` and falling back down the
+    /// cascade as the policy dictates. Always returns an outcome.
     pub fn rate(
         &mut self,
         setup: &mut TuningSetup<'_>,
@@ -244,80 +270,91 @@ impl RatingSupervisor {
         base: OptConfig,
         candidates: &[OptConfig],
     ) -> (RateOutcome, Method) {
+        self.walk(setup, preferred, candidates.len(), |setup, m, _, opts| {
+            rate_with(setup, m, base, candidates, opts)
+        })
+    }
+
+    /// The walk itself, for any rating protocol: `rate_attempt(setup,
+    /// method, attempt, opts)` rates the frontier once, where `attempt`
+    /// counts the calls made so far in this walk (inapplicable methods
+    /// and retries included), and returns `None` when `method` is
+    /// inapplicable. The final method of every cascade rates (RBR, or
+    /// the supervised policy's WHL), so an outcome always comes back.
+    pub(crate) fn walk<'w>(
+        &mut self,
+        setup: &mut TuningSetup<'w>,
+        preferred: Method,
+        ncand: usize,
+        mut rate_attempt: impl FnMut(
+            &mut TuningSetup<'w>,
+            Method,
+            usize,
+            &RateOptions,
+        ) -> Option<RateOutcome>,
+    ) -> (RateOutcome, Method) {
+        if matches!(preferred, Method::Whl | Method::Avg) {
+            let out = rate_attempt(setup, preferred, 0, &RateOptions::default())
+                .expect("baseline methods always rate");
+            return (out, preferred);
+        }
         let rating = self.ratings;
         self.ratings += 1;
-        let tracer = setup.tracer().clone();
-        let cascade = self.cascade(setup, preferred);
-        let ncand = candidates.len().max(1) as f64;
-        let mut last: Option<RateOutcome> = None;
+        let cascade = self.cascade(&setup.consult.order, preferred);
+        let max_retries = if self.supervised { MAX_RETRIES } else { 0 };
+        let mut attempt = 0;
+        let mut last = None;
         for (pos, &m) in cascade.iter().enumerate() {
-            let terminal = pos + 1 == cascade.len();
-            let next = cascade.get(pos + 1).copied().unwrap_or(Method::Whl);
-            let log = |trigger: DegradeTrigger, retries: u32, events: &mut Vec<DegradeEvent>| {
-                events.push(DegradeEvent { rating, from: m, to: next, trigger, retries });
-                event!(
-                    tracer,
-                    "supervisor.degrade",
-                    rating = rating as u64,
-                    from = m.name(),
-                    to = next.name(),
-                    trigger = trigger.name(),
-                    retries = retries as u64,
-                );
-            };
+            let to = cascade.get(pos + 1).copied().unwrap_or(Method::Whl);
             let mut opts = RateOptions::default();
             let mut retries = 0u32;
-            loop {
-                let Some(out) = rate_with(setup, m, base, candidates, &opts) else {
-                    log(Self::inapplicable_trigger(m), retries, &mut self.events);
-                    break;
+            let (trigger, rated) = loop {
+                let out = rate_attempt(setup, m, attempt, &opts);
+                attempt += 1;
+                let Some(out) = out else {
+                    break (Self::inapplicable_trigger(m), false);
                 };
-                if terminal {
-                    // Best-effort terminal method: accept any outcome.
+                if m == Method::Whl {
+                    // The supervised policy's terminal WHL is best-effort.
                     return (out, m);
                 }
-                if let Some(trigger) = self.fatal_trigger(&out) {
-                    log(trigger, retries, &mut self.events);
-                    last = Some(out);
-                    break;
+                let fatal = self.fatal_trigger(&out);
+                if fatal.is_none() {
+                    let frac_bad = out.unconverged as f64 / (ncand.max(1) as f64);
+                    if frac_bad <= SWITCH_FRACTION {
+                        return (out, m);
+                    }
+                    if retries < max_retries {
+                        retries += 1;
+                        opts.window_scale *= WIDEN_FACTOR;
+                        event!(
+                            setup.tracer(),
+                            "supervisor.retry",
+                            rating = rating as u64,
+                            method = m.name(),
+                            retry = retries as u64,
+                            window_scale = opts.window_scale,
+                            unconverged = out.unconverged as u64,
+                        );
+                        continue;
+                    }
                 }
-                let frac_bad = out.unconverged as f64 / ncand;
-                if frac_bad <= self.config.switch_fraction {
-                    return (out, m);
-                }
-                if retries < self.config.max_retries && self.budget_allows_retry(setup) {
-                    retries += 1;
-                    opts.window_scale *= self.config.widen_factor;
-                    event!(
-                        tracer,
-                        "supervisor.retry",
-                        rating = rating as u64,
-                        method = m.name(),
-                        retry = retries as u64,
-                        window_scale = opts.window_scale,
-                        unconverged = out.unconverged as u64,
-                    );
-                    continue;
-                }
-                log(self.unconverged_trigger(&out), retries, &mut self.events);
-                last = Some(out);
-                break;
-            }
+                let trigger = fatal.unwrap_or_else(|| Self::unconverged_trigger(&out));
+                last = Some((out, m));
+                break (trigger, true);
+            };
+            let event = DegradeEvent { rating, from: m, to, trigger, retries };
+            self.degrade(setup.tracer(), event, rated);
         }
-        // Unreachable in practice (WHL is terminal and always rates), but
-        // keep a defensive completion path.
-        let m = *cascade.last().expect("cascade never empty");
-        let out = last.unwrap_or_else(|| {
-            rate_with(setup, Method::Whl, base, candidates, &RateOptions::default())
-                .expect("WHL always rates")
-        });
-        (out, m)
+        // Everything struggled: use the last method that rated.
+        last.expect("the cascade's final method always rates")
     }
 }
 
 impl Default for RatingSupervisor {
+    /// The supervised policy.
     fn default() -> Self {
-        Self::new(SupervisorConfig::default())
+        RatingSupervisor { supervised: true, ..RatingSupervisor::paper() }
     }
 }
 

@@ -17,12 +17,12 @@
 //!   that fires the token" (see `peak-serve`'s supervisor).
 //! * **Determinism.** With a token that never fires and the default O3
 //!   start, a job's [`TuneReport`] is bit-identical to
-//!   [`tune_traced_pooled`](crate::tuner::tune_traced_pooled) — the
+//!   [`tune`] with the same tracer and pool — the
 //!   serve_storm harness pins this down.
 
 use crate::consultant::Method;
 use crate::sched::Pool;
-use crate::tuner::{tune_with_options, TuneOptions, TuneReport};
+use crate::tuner::{tune, TuneOptions, TuneReport};
 use peak_obs::Tracer;
 use peak_sim::MachineSpec;
 use peak_util::{Json, ToJson};
@@ -237,12 +237,14 @@ pub fn run_tuning_job(
         ),
     };
     let opts = TuneOptions {
+        tracer,
+        pool: pool.clone(),
         start: spec.start_bits.map(peak_opt::OptConfig::from_bits),
         cancel,
         strategy,
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        tune_with_options(workload.as_ref(), &machine, method, spec.dataset, tracer, pool, &opts)
+        tune(workload.as_ref(), &machine, method, spec.dataset, &opts)
     }));
     match result {
         Ok(report) => Ok(report),

@@ -11,7 +11,7 @@
 //! * [`mbr`] — component discovery and the linear execution-time model;
 //! * [`context`] — context keys and run-time-constant elimination;
 //! * [`search`] — Iterative Elimination over the 38-flag space (plus
-//!   exhaustive and random search for ablations);
+//!   exhaustive search for ablations);
 //! * [`strategy`] — pluggable search strategies (`SearchStrategy` trait):
 //!   the shared `FrontierRater` + `CompilationBudget`, seeded genetic
 //!   search, and phase-clustered IE — all bit-identical at any thread
@@ -22,8 +22,9 @@
 //!   (Figure 7);
 //! * [`consistency`] — the Table 1 experiment;
 //! * [`adaptive`] — the §6 online/adaptive scenario (per-context winners);
-//! * [`degrade`] — rating supervisor: retry-with-backoff and the
-//!   CBR → MBR → RBR → WHL degradation cascade under injected faults;
+//! * [`degrade`] — the rating supervisor: the one §3 fallback walk,
+//!   under the paper policy or the supervised one (retry-with-backoff
+//!   and the CBR → MBR → RBR → WHL cascade under injected faults);
 //! * [`job`] — the tuning-job unit behind the `peak-serve` daemon:
 //!   panic-isolated, cooperatively cancellable, warm-startable;
 //! * [`checkpoint`] — serializable tuner state for kill/resume;
@@ -64,7 +65,7 @@ pub use compile::{
 };
 pub use consistency::{consistency_rows, consistency_rows_traced, ConsistencyRow, WINDOW_SIZES};
 pub use consultant::{consult, Consultation, Method};
-pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor, SupervisorConfig};
+pub use degrade::{DegradeEvent, DegradeTrigger, RatingSupervisor};
 pub use harness::RunHarness;
 pub use job::{
     classify_panic, machine_spec_by_name, method_by_name, run_tuning_job, CancelToken, Cancelled,
@@ -73,10 +74,7 @@ pub use job::{
 pub use mbr::MbrModel;
 pub use rating::{rate, rate_with, RateOptions, RateOutcome, TuningSetup};
 pub use sched::{default_threads, Pool, PoolStats};
-pub use search::{
-    exhaustive, iterative_elimination, iterative_elimination_from, iterative_elimination_parallel,
-    iterative_elimination_parallel_capped, random_search, SearchResult,
-};
+pub use search::{exhaustive, iterative_elimination, iterative_elimination_from, SearchResult};
 pub use strategy::{
     build_strategy, cluster_flags, ga_mutate, ga_next_generation, ga_uniform_crossover, pearson,
     search_with_strategy, search_with_strategy_spent, strategy_kind_by_name, strategy_seed,
@@ -84,9 +82,6 @@ pub use strategy::{
     IterativeElimination, PhaseClusteredIe, RandomSearchStrategy, RatingProtocol, SearchStrategy,
     SplitMix64, StrategyKind,
 };
-pub use tuner::{
-    production_time, tune, tune_traced, tune_traced_pooled, tune_with_options, TuneOptions,
-    TuneReport, Tuner,
-};
+pub use tuner::{production_time, tune, TuneOptions, TuneReport, Tuner};
 pub use tier::{jit_backend, register_jit_metrics};
 pub use version_cache::{CacheStats, VersionCache, VersionKey};

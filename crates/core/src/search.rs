@@ -4,13 +4,13 @@
 //! authors' TR \[11\]): start from -O3, rate each enabled flag's removal
 //! against the current base, remove the most harmful flag, repeat until
 //! no removal helps. O(n²) ratings instead of 2^n. Exhaustive search
-//! (small subspaces) and biased random search (Cooper-style) are provided
-//! for the ablation benchmarks.
+//! (small subspaces) is provided for the ablation benchmarks; the loops
+//! themselves live in [`strategy`](crate::strategy).
 
 use crate::consultant::Method;
-use crate::rating::{rate, RateOutcome, TuningSetup};
+use crate::rating::{rate_with, RateOptions, RateOutcome, TuningSetup};
 use crate::sched::Pool;
-use crate::strategy::{FrontierRater, IterativeElimination, RandomSearchStrategy, SearchStrategy};
+use crate::strategy::{FrontierRater, IterativeElimination, SearchStrategy};
 use peak_opt::{Flag, OptConfig};
 use peak_util::{Json, ToJson};
 
@@ -74,54 +74,6 @@ pub(crate) const MIN_GAIN: f64 = 1.012;
 /// gains below [`MIN_GAIN`] stop the search anyway; the cap bounds tuning
 /// cost when measurement noise keeps producing marginal "wins".
 pub(crate) const MAX_IE_ROUNDS: usize = 10;
-/// Fraction of candidates allowed to stay unconverged before the tuner
-/// switches rating methods.
-pub(crate) const SWITCH_FRACTION: f64 = 0.34;
-
-/// Rate with automatic method switching down the consultant's order
-/// (paper §3: "If the system cannot achieve enough accuracy … it switches
-/// to the next applicable rating method").
-pub fn rate_with_fallback(
-    setup: &mut TuningSetup<'_>,
-    preferred: Method,
-    base: OptConfig,
-    candidates: &[OptConfig],
-    switches: &mut u32,
-) -> (RateOutcome, Method) {
-    // Try the preferred method first even when the consultant left it out
-    // of the order (a *forced* method, e.g. Figure 7's MGRID_CBR cell),
-    // then continue down the order from that point. A forced method that
-    // cannot converge falls through exactly like an in-order one — and its
-    // wasted cycles stay on the bill, which is what the figure shows.
-    let order = setup.consult.order.clone();
-    let mut try_list = vec![preferred];
-    let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
-    for &m in &order[start.min(order.len())..] {
-        if !try_list.contains(&m) {
-            try_list.push(m);
-        }
-    }
-    let mut last: Option<RateOutcome> = None;
-    for &m in &try_list {
-        if let Some(out) = rate(setup, m, base, candidates) {
-            let frac_bad = out.unconverged as f64 / (candidates.len().max(1) as f64);
-            if frac_bad <= SWITCH_FRACTION {
-                return (out, m);
-            }
-            last = Some(out);
-            *switches += 1;
-        }
-    }
-    // Everything struggled: use the last (most applicable) method anyway.
-    let m = *order.last().expect("RBR always applicable");
-    match last {
-        Some(out) => (out, m),
-        None => {
-            let out = rate(setup, m, base, candidates).expect("RBR always rates");
-            (out, m)
-        }
-    }
-}
 
 /// Iterative Elimination with the given (initial) rating method,
 /// starting from -O3 (the paper's protocol).
@@ -138,12 +90,10 @@ pub fn iterative_elimination(setup: &mut TuningSetup<'_>, method: Method) -> Sea
 /// ([`TuningSetup::check_cancel`]); with the default token this is
 /// a no-op.
 ///
-/// Since the strategy extraction this is a thin wrapper: the IE loop
-/// lives in [`IterativeElimination`] and runs on a
-/// [`FrontierRater::serial`] rater — the serial interleaved rating
-/// protocol the Table 1 / Figure 7 goldens pin down, with an unlimited
-/// compilation budget. The differential suite asserts this wrapper is
-/// byte-identical to the pre-trait implementation.
+/// This is a thin wrapper: the IE loop lives in [`IterativeElimination`]
+/// and runs on a [`FrontierRater::serial`] rater — the serial
+/// interleaved rating protocol the Table 1 / Figure 7 goldens pin down,
+/// with the paper's fallback policy and an unlimited compilation budget.
 pub fn iterative_elimination_from(
     setup: &mut TuningSetup<'_>,
     method: Method,
@@ -168,7 +118,8 @@ const JOB_SEED_STRIDE: u64 = 1024;
 /// `j` is rated in its own forked scratch setup (deterministically
 /// seeded from `seed_base + j·stride`) against a fresh measurement of
 /// the base, and the outcomes are merged in candidate order. Returns
-/// `None` when `method` is structurally inapplicable (mirrors [`rate`]).
+/// `None` when `method` is structurally inapplicable (mirrors
+/// [`rate_with`], which each job calls with `opts`).
 ///
 /// This is a *restructured* protocol, not a parallelization of the
 /// serial one: serial rating interleaves all candidates inside shared
@@ -184,6 +135,7 @@ pub(crate) fn rate_frontier_parallel(
     base: OptConfig,
     candidates: &[OptConfig],
     seed_base: u64,
+    opts: &RateOptions,
 ) -> Option<RateOutcome> {
     match method {
         Method::Cbr if setup.consult.cbr.is_none() => return None,
@@ -206,7 +158,7 @@ pub(crate) fn rate_frontier_parallel(
         let shared: &TuningSetup<'_> = setup;
         pool.map(candidates.len(), |j| {
             let mut scratch = shared.fork_for_job(seed_base + j as u64 * JOB_SEED_STRIDE);
-            let out = rate(&mut scratch, method, base, &[candidates[j]])
+            let out = rate_with(&mut scratch, method, base, &[candidates[j]], opts)
                 .expect("applicability checked before fan-out");
             JobResult {
                 improvement: out.improvements[0],
@@ -249,96 +201,9 @@ pub(crate) fn rate_frontier_parallel(
     Some(merged)
 }
 
-/// Frontier-level method fallback: the §3 switch decision is made
-/// *jointly* over the merged frontier outcome (same unconverged-fraction
-/// rule as [`rate_with_fallback`]), after all candidate jobs of the
-/// attempt have completed.
-pub(crate) fn rate_frontier_with_fallback(
-    setup: &mut TuningSetup<'_>,
-    pool: &Pool,
-    preferred: Method,
-    base: OptConfig,
-    candidates: &[OptConfig],
-    switches: &mut u32,
-    round: usize,
-) -> (RateOutcome, Method) {
-    let order = setup.consult.order.clone();
-    let mut try_list = vec![preferred];
-    let start = order.iter().position(|&m| m == preferred).map_or(0, |i| i + 1);
-    for &m in &order[start.min(order.len())..] {
-        if !try_list.contains(&m) {
-            try_list.push(m);
-        }
-    }
-    let mut last: Option<RateOutcome> = None;
-    for (attempt, &m) in try_list.iter().enumerate() {
-        let seed = frontier_seed_base(round, attempt);
-        if let Some(out) = rate_frontier_parallel(setup, pool, m, base, candidates, seed) {
-            let frac_bad = out.unconverged as f64 / (candidates.len().max(1) as f64);
-            if frac_bad <= SWITCH_FRACTION {
-                return (out, m);
-            }
-            last = Some(out);
-            *switches += 1;
-        }
-    }
-    let m = *order.last().expect("RBR always applicable");
-    match last {
-        Some(out) => (out, m),
-        None => {
-            let seed = frontier_seed_base(round, try_list.len());
-            let out = rate_frontier_parallel(setup, pool, m, base, candidates, seed)
-                .expect("RBR always rates");
-            (out, m)
-        }
-    }
-}
-
-/// Iterative Elimination with a parallel candidate frontier: each round
-/// pre-compiles the whole frontier through the shared [`VersionCache`]
-/// (in-flight de-duplicated) and rates every candidate concurrently on
-/// `pool`, each candidate in its own deterministically-seeded scratch
-/// [`TuningSetup`]. Results are merged in candidate order, so the
-/// returned [`SearchResult`] — flags, ratings count, tuning cycles, run
-/// and invocation accounting — is **bit-identical at any thread count**
-/// (`Pool::with_threads(1)` is the serial reference).
-///
-/// Note this is a restructured search, not a drop-in replacement for
-/// [`iterative_elimination`]: per-candidate decomposition changes the
-/// measurement protocol (see [`rate_frontier_parallel`]), so its numbers
-/// differ from the serial interleaved protocol's. The Figure 7 / Table 1
-/// pipelines keep the serial protocol; this entry point is for
-/// throughput-bound consumers (`BENCH_search`, future sharded drivers).
-pub fn iterative_elimination_parallel(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    pool: &Pool,
-) -> SearchResult {
-    iterative_elimination_parallel_capped(setup, method, pool, MAX_IE_ROUNDS)
-}
-
-/// [`iterative_elimination_parallel`] with an explicit round cap
-/// (`max_rounds ≤` [`MAX_IE_ROUNDS`] is not enforced — benches use small
-/// caps to bound latency measurements).
-///
-/// Since the strategy extraction this is the same [`IterativeElimination`]
-/// loop on a [`FrontierRater::pooled`] rater (per-candidate protocol).
-/// One behavioral addition over the pre-trait code: round boundaries are
-/// now cooperative cancellation points here too, matching the serial
-/// entry point — output-invisible unless the job is cancelled.
-pub fn iterative_elimination_parallel_capped(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    pool: &Pool,
-    max_rounds: usize,
-) -> SearchResult {
-    let strategy = IterativeElimination { start: OptConfig::o3(), max_rounds };
-    let mut rater = FrontierRater::pooled(setup, pool.clone(), method);
-    strategy.run(&mut rater)
-}
-
 /// Exhaustive search over a small flag subset (all other flags stay on).
-/// 2^k ratings — only for ablation studies on ≤ 12 flags.
+/// 2^k ratings, rated as one frontier on a [`FrontierRater::serial`]
+/// rater — only for ablation studies on ≤ 12 flags.
 pub fn exhaustive(setup: &mut TuningSetup<'_>, method: Method, flags: &[Flag]) -> SearchResult {
     assert!(flags.len() <= 12, "exhaustive search is 2^k");
     let base = OptConfig::o3();
@@ -352,48 +217,15 @@ pub fn exhaustive(setup: &mut TuningSetup<'_>, method: Method, flags: &[Flag]) -
         }
         candidates.push(cfg);
     }
-    let mut switches = 0;
-    let (out, used) = rate_with_fallback(setup, method, base, &candidates, &mut switches);
+    let mut rater = FrontierRater::serial(setup, method);
+    let fo = rater.rate(base, &candidates).expect("an unlimited budget rates every frontier");
     let besti = (0..candidates.len())
-        .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
+        .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
     let best = match besti {
-        Some(i) if out.improvements[i] >= MIN_GAIN => candidates[i],
+        Some(i) if fo.out.improvements[i] >= MIN_GAIN => candidates[i],
         _ => base,
     };
-    SearchResult {
-        best,
-        disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
-        method: used,
-        switches,
-        ratings: candidates.len(),
-        tuning_cycles: setup.tuning_cycles,
-        runs: setup.runs_used,
-        invocations: setup.invocations_used,
-    }
-}
-
-/// Biased random search (Cooper-style): sample configurations with each
-/// flag independently off with probability `p_off`, keep the best.
-///
-/// Ported onto the strategy layer: sampling now uses the strategy
-/// doctrine's splitmix64 (`p_off` is rounded to integer per-mille) and
-/// rating uses the pooled per-candidate protocol on the setup's pool —
-/// so, unlike the pre-trait version, results are bit-identical at any
-/// thread count and stable across dependency bumps. Numbers differ from
-/// the old `StdRng`-sampled, serially-rated implementation; no golden
-/// consumed those.
-pub fn random_search(
-    setup: &mut TuningSetup<'_>,
-    method: Method,
-    samples: usize,
-    p_off: f64,
-    seed: u64,
-) -> SearchResult {
-    let per_mille = ((p_off * 1000.0).round() as i64).clamp(0, 1000) as u64;
-    let strategy = RandomSearchStrategy { samples, p_off_per_mille: per_mille, seed };
-    let pool = setup.pool().clone();
-    let mut rater = FrontierRater::pooled(setup, pool, method);
-    strategy.run(&mut rater)
+    rater.finish(best)
 }
 
 #[cfg(test)]

@@ -35,11 +35,12 @@
 //! files.
 
 use crate::consultant::Method;
-use crate::rating::{rate, RateOutcome, TuningSetup};
+use crate::degrade::RatingSupervisor;
+use crate::rating::{RateOutcome, TuningSetup};
 use crate::sched::Pool;
 use crate::search::{
-    count_ie_round, frontier_seed_base, rate_frontier_parallel, rate_frontier_with_fallback,
-    rate_with_fallback, SearchResult, MAX_IE_ROUNDS, MIN_GAIN,
+    count_ie_round, frontier_seed_base, rate_frontier_parallel, SearchResult, MAX_IE_ROUNDS,
+    MIN_GAIN,
 };
 use peak_obs::event;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS, NUM_FLAGS};
@@ -194,21 +195,58 @@ pub struct FrontierOutcome {
     pub truncated: bool,
 }
 
+/// A rater's search-wide accounting: frontier rounds, candidate
+/// ratings, the method behind the latest decision, and the §3 walk with
+/// its policy and log. Kept apart from the borrowed setup so a
+/// checkpointing driver ([`Tuner`](crate::tuner::Tuner)) can hold it
+/// between steps.
+#[derive(Debug, Clone)]
+pub(crate) struct RaterAccounting {
+    /// Frontier rounds rated so far (also the per-candidate seed counter).
+    pub(crate) round: usize,
+    /// Candidate ratings performed.
+    pub(crate) ratings: usize,
+    /// Method that produced the most recent decision.
+    pub(crate) last_method: Method,
+    /// The fallback walk and its switch count / degradation log.
+    pub(crate) supervisor: RatingSupervisor,
+}
+
+impl RaterAccounting {
+    /// Fresh accounting for a search preferring `method`.
+    pub(crate) fn new(method: Method, supervisor: RatingSupervisor) -> Self {
+        RaterAccounting { round: 0, ratings: 0, last_method: method, supervisor }
+    }
+
+    /// The uniform [`SearchResult`] for `best`, with the setup's run
+    /// accounting.
+    pub(crate) fn result(&self, best: OptConfig, setup: &TuningSetup<'_>) -> SearchResult {
+        SearchResult {
+            best,
+            disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
+            method: self.last_method,
+            switches: self.supervisor.switches(),
+            ratings: self.ratings,
+            tuning_cycles: setup.tuning_cycles,
+            runs: setup.runs_used,
+            invocations: setup.invocations_used,
+        }
+    }
+}
+
 /// The shared engine all strategies drive: frontier pre-warming through
-/// the version cache, §3 method fallback, budget charging, and the
-/// rating-protocol dispatch. Owns the search-wide accounting
-/// (ratings / switches / last method) so [`FrontierRater::finish`] can
-/// assemble a [`SearchResult`] uniformly.
+/// the version cache, the §3 method fallback (a [`RatingSupervisor`]
+/// walk, the paper policy unless a driver installs another), budget
+/// charging, and the rating-protocol choice. Owns the search-wide
+/// accounting so [`FrontierRater::finish`] can assemble a
+/// [`SearchResult`] uniformly.
 pub struct FrontierRater<'a, 'w> {
     setup: &'a mut TuningSetup<'w>,
     pool: Pool,
     protocol: RatingProtocol,
     method: Method,
     budget: CompilationBudget,
-    ratings: usize,
-    switches: u32,
-    last_method: Method,
-    round: usize,
+    acct: RaterAccounting,
 }
 
 impl<'a, 'w> FrontierRater<'a, 'w> {
@@ -217,17 +255,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
     /// goldens-compatible configuration.
     pub fn serial(setup: &'a mut TuningSetup<'w>, method: Method) -> Self {
         let pool = setup.pool().clone();
-        FrontierRater {
-            setup,
-            pool,
-            protocol: RatingProtocol::Serial,
-            method,
-            budget: CompilationBudget::unlimited(),
-            ratings: 0,
-            switches: 0,
-            last_method: method,
-            round: 0,
-        }
+        Self::with_protocol(setup, pool, RatingProtocol::Serial, method)
     }
 
     /// Per-candidate-protocol rater: installs `pool` on the setup (so
@@ -235,17 +263,18 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
     /// candidate. Bit-identical at any `pool` size.
     pub fn pooled(setup: &'a mut TuningSetup<'w>, pool: Pool, method: Method) -> Self {
         setup.set_pool(pool.clone());
-        FrontierRater {
-            setup,
-            pool,
-            protocol: RatingProtocol::PerCandidate,
-            method,
-            budget: CompilationBudget::unlimited(),
-            ratings: 0,
-            switches: 0,
-            last_method: method,
-            round: 0,
-        }
+        Self::with_protocol(setup, pool, RatingProtocol::PerCandidate, method)
+    }
+
+    fn with_protocol(
+        setup: &'a mut TuningSetup<'w>,
+        pool: Pool,
+        protocol: RatingProtocol,
+        method: Method,
+    ) -> Self {
+        let budget = CompilationBudget::unlimited();
+        let acct = RaterAccounting::new(method, RatingSupervisor::paper());
+        FrontierRater { setup, pool, protocol, method, budget, acct }
     }
 
     /// Replace the (default unlimited) budget.
@@ -254,15 +283,29 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         self
     }
 
+    /// Continue from `acct` (a checkpointing driver's saved accounting,
+    /// fallback policy included) instead of fresh paper-policy
+    /// accounting.
+    pub(crate) fn with_accounting(mut self, acct: RaterAccounting) -> Self {
+        self.acct = acct;
+        self
+    }
+
+    /// The accounting to carry into the next rater.
+    pub(crate) fn into_accounting(self) -> RaterAccounting {
+        self.acct
+    }
+
     /// Rate a candidate frontier against `base`. Charges the budget
     /// (base first, then candidates in order), pre-warms the affordable
-    /// frontier, dispatches on the protocol, and accumulates the
-    /// search-wide accounting. Returns `None` when the budget cannot
+    /// frontier, walks the §3 cascade with the protocol's rating call
+    /// (serial `rate_with`, or one job per candidate), and accumulates
+    /// the search-wide accounting. Returns `None` when the budget cannot
     /// afford the base or a single candidate — the strategy should
     /// return its best-so-far.
     pub fn rate(&mut self, base: OptConfig, candidates: &[OptConfig]) -> Option<FrontierOutcome> {
-        let round = self.round;
-        self.round += 1;
+        let round = self.acct.round;
+        self.acct.round += 1;
         if !self.budget.charge_one(base) {
             return None;
         }
@@ -280,40 +323,23 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         self.setup.warm_frontier(&warm, matches!(self.method, Method::Mbr));
         let (out, used) = match self.protocol {
             RatingProtocol::Serial => {
-                if matches!(self.method, Method::Whl | Method::Avg) {
-                    // Baselines rate directly without the consultant fallback.
-                    (
-                        rate(self.setup, self.method, base, candidates)
-                            .expect("baseline method rates"),
-                        self.method,
-                    )
-                } else {
-                    rate_with_fallback(self.setup, self.method, base, candidates, &mut self.switches)
-                }
+                self.acct.supervisor.rate(self.setup, self.method, base, candidates)
             }
             RatingProtocol::PerCandidate => {
-                if matches!(self.method, Method::Whl | Method::Avg) {
-                    let seed = frontier_seed_base(round, 0);
-                    (
-                        rate_frontier_parallel(self.setup, &self.pool, self.method, base, candidates, seed)
-                            .expect("baseline method rates"),
-                        self.method,
-                    )
-                } else {
-                    rate_frontier_with_fallback(
-                        self.setup,
-                        &self.pool,
-                        self.method,
-                        base,
-                        candidates,
-                        &mut self.switches,
-                        round,
-                    )
-                }
+                let pool = &self.pool;
+                let n = candidates.len();
+                self.acct.supervisor.walk(self.setup, self.method, n, |setup, m, attempt, opts| {
+                    // `frontier_seed_base` reserves 8 attempt slots per
+                    // round; only the paper policy (no retries, at most 3
+                    // methods) runs this protocol.
+                    debug_assert!(attempt < 8, "attempt {attempt} overruns the round's seed slots");
+                    let seed = frontier_seed_base(round, attempt);
+                    rate_frontier_parallel(setup, pool, m, base, candidates, seed, opts)
+                })
             }
         };
-        self.last_method = used;
-        self.ratings += candidates.len();
+        self.acct.last_method = used;
+        self.acct.ratings += candidates.len();
         Some(FrontierOutcome { out, method: used, rated: candidates.len(), truncated })
     }
 
@@ -329,7 +355,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 
     /// Cumulative §3 method switches.
     pub fn switches(&self) -> u32 {
-        self.switches
+        self.acct.supervisor.switches()
     }
 
     /// Unique configurations charged so far.
@@ -344,7 +370,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 
     /// Frontier rounds rated so far (also the seed counter).
     pub fn round(&self) -> usize {
-        self.round
+        self.acct.round
     }
 
     /// The preferred rating method this rater starts each frontier with.
@@ -354,16 +380,7 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 
     /// Assemble the uniform [`SearchResult`] for `best`.
     pub fn finish(&self, best: OptConfig) -> SearchResult {
-        SearchResult {
-            best,
-            disabled_flags: best.disabled_flags().iter().map(|f| f.name().to_string()).collect(),
-            method: self.last_method,
-            switches: self.switches,
-            ratings: self.ratings,
-            tuning_cycles: self.setup.tuning_cycles,
-            runs: self.setup.runs_used,
-            invocations: self.setup.invocations_used,
-        }
+        self.acct.result(best, self.setup)
     }
 }
 
@@ -380,10 +397,11 @@ pub trait SearchStrategy {
 }
 
 /// The paper's Iterative Elimination, expressed over the rater. With a
-/// [`RatingProtocol::Serial`] rater and an unlimited budget this is
-/// byte-identical to the pre-trait `iterative_elimination_from` (the
-/// goldens suite pins this); with a pooled rater it is PR 4's parallel
-/// frontier search.
+/// [`RatingProtocol::Serial`] rater and an unlimited budget this is the
+/// search the Table 1 / Figure 7 goldens pin; with a pooled rater it is
+/// the per-candidate frontier search. The checkpointing
+/// [`Tuner`](crate::tuner::Tuner) drives the same loop one round at a
+/// time.
 #[derive(Debug, Clone)]
 pub struct IterativeElimination {
     /// Start configuration (O3 is the paper's protocol; the serve
@@ -399,58 +417,81 @@ impl Default for IterativeElimination {
     }
 }
 
+/// Iterative Elimination's resumable state between rounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IeState {
+    /// Current base configuration (the best found so far).
+    pub(crate) base: OptConfig,
+    /// Rounds rated so far.
+    pub(crate) round: usize,
+    /// Whether the search has ended.
+    pub(crate) done: bool,
+}
+
+impl IeState {
+    /// State before the first round from `start`.
+    pub(crate) fn new(start: OptConfig) -> Self {
+        IeState { base: start, round: 0, done: false }
+    }
+}
+
+impl IterativeElimination {
+    /// One round: rate every single-flag removal from `state.base` and
+    /// remove the flag whose removal helps most, if it clears
+    /// [`MIN_GAIN`]. The search ends when no removal does, when no flag
+    /// is left, at the round cap, or when the budget runs out. Returns
+    /// `false` once it has ended.
+    pub(crate) fn step(&self, rater: &mut FrontierRater<'_, '_>, state: &mut IeState) -> bool {
+        if state.done || state.round >= self.max_rounds {
+            state.done = true;
+            return false;
+        }
+        rater.check_cancel();
+        count_ie_round();
+        let flags: Vec<Flag> = state.base.enabled_flags();
+        if flags.is_empty() {
+            state.done = true;
+            return false;
+        }
+        let candidates: Vec<OptConfig> = flags.iter().map(|&f| state.base.without(f)).collect();
+        let Some(fo) = rater.rate(state.base, &candidates) else {
+            state.done = true;
+            return false;
+        };
+        let out = &fo.out;
+        let bestidx = (0..fo.rated)
+            .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
+        let removed = bestidx.filter(|&i| out.improvements[i] >= MIN_GAIN);
+        event!(
+            rater.tracer(),
+            "search.round",
+            round = state.round as u64,
+            method = fo.method.name(),
+            best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
+            removed_flag = removed.map(|i| flags[i].name()),
+            switches = rater.switches() as u64,
+        );
+        state.round += 1;
+        match removed {
+            Some(i) => state.base = candidates[i],
+            None => state.done = true,
+        }
+        if fo.truncated || state.round >= self.max_rounds {
+            state.done = true;
+        }
+        !state.done
+    }
+}
+
 impl SearchStrategy for IterativeElimination {
     fn name(&self) -> &'static str {
         "ie"
     }
 
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
-        let mut base = self.start;
-        for round in 0..self.max_rounds {
-            rater.check_cancel();
-            count_ie_round();
-            let flags: Vec<Flag> = base.enabled_flags();
-            if flags.is_empty() {
-                break;
-            }
-            let candidates: Vec<OptConfig> = flags.iter().map(|&f| base.without(f)).collect();
-            let Some(fo) = rater.rate(base, &candidates) else {
-                break;
-            };
-            let out = &fo.out;
-            // Remove the flag whose removal helps most.
-            let bestidx = (0..fo.rated)
-                .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
-            let removed = match bestidx {
-                Some(i) if out.improvements[i] >= MIN_GAIN => Some(flags[i].name()),
-                _ => None,
-            };
-            {
-                let switches = rater.switches();
-                let tracer = rater.tracer();
-                if tracer.enabled() {
-                    event!(
-                        tracer,
-                        "search.round",
-                        round = round as u64,
-                        method = fo.method.name(),
-                        best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
-                        removed_flag = removed,
-                        switches = switches as u64,
-                    );
-                }
-            }
-            match bestidx {
-                Some(i) if removed.is_some() => {
-                    base = candidates[i];
-                }
-                _ => break,
-            }
-            if fo.truncated {
-                break;
-            }
-        }
-        rater.finish(base)
+        let mut state = IeState::new(self.start);
+        while self.step(rater, &mut state) {}
+        rater.finish(state.base)
     }
 }
 

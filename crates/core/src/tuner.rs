@@ -1,24 +1,25 @@
 //! Top-level offline tuning (the PEAK flow of paper Fig. 5) and the
 //! production measurements behind Figure 7.
 //!
-//! `tune` runs Iterative Elimination with a chosen rating method on the
-//! tuning dataset; `production_time` measures the tuned binary on the
+//! [`tune`] runs a search with a chosen rating method on the tuning
+//! dataset; `production_time` measures the tuned binary on the
 //! (different) production dataset — the train-bar/ref-bar distinction of
-//! Figure 7.
+//! Figure 7. [`Tuner`] is the checkpointing, fault-tolerant driver: the
+//! same Iterative Elimination, one resumable round at a time.
 
 use crate::checkpoint::TunerCheckpoint;
 use crate::consultant::Method;
-use crate::degrade::{DegradeEvent, RatingSupervisor, SupervisorConfig};
+use crate::degrade::{DegradeEvent, RatingSupervisor};
 use crate::job::CancelToken;
-use crate::rating::{rate, TuningSetup};
+use crate::rating::TuningSetup;
 use crate::sched::Pool;
 use crate::search::{iterative_elimination_from, SearchResult};
 use crate::strategy::{
-    build_strategy, strategy_seed, FrontierRater, IterativeElimination, SearchStrategy,
-    StrategyKind,
+    build_strategy, strategy_seed, FrontierRater, IeState, IterativeElimination, RaterAccounting,
+    SearchStrategy, StrategyKind,
 };
 use crate::version_cache::VersionCache;
-use peak_obs::{event, Tracer};
+use peak_obs::{event, span, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
 use peak_util::{Json, ToJson};
@@ -81,60 +82,26 @@ pub fn production_time(
     h.cycles()
 }
 
-/// Tune a workload with `method` on `tuned_on`, then evaluate on the ref
-/// input. This is one bar of Figure 7(a)/(b) plus the tuning-time number
-/// for 7(c)/(d).
-pub fn tune(
-    workload: &dyn Workload,
-    spec: &MachineSpec,
-    method: Method,
-    tuned_on: Dataset,
-) -> TuneReport {
-    tune_traced(workload, spec, method, tuned_on, Tracer::disabled())
-}
-
-/// [`tune`] with a tracer installed for the tuning phase: every rating
-/// call and tuning run emits telemetry. With a disabled tracer this is
-/// exactly [`tune`] (which delegates here).
-pub fn tune_traced(
-    workload: &dyn Workload,
-    spec: &MachineSpec,
-    method: Method,
-    tuned_on: Dataset,
-    tracer: Tracer,
-) -> TuneReport {
-    tune_traced_pooled(workload, spec, method, tuned_on, tracer, &Pool::with_threads(1))
-}
-
-/// [`tune_traced`] with a job pool installed on the tuning setup: each
-/// IE round's candidate frontier is pre-compiled in parallel through the
-/// shared [`VersionCache`]. Warm-up is pure (compilation is
-/// deterministic and cached), so every output — ratings, flags, cycles,
-/// traces — is byte-identical to [`tune_traced`] at any pool size; only
-/// wall-clock time changes.
-pub fn tune_traced_pooled(
-    workload: &dyn Workload,
-    spec: &MachineSpec,
-    method: Method,
-    tuned_on: Dataset,
-    tracer: Tracer,
-    pool: &Pool,
-) -> TuneReport {
-    tune_with_options(workload, spec, method, tuned_on, tracer, pool, &TuneOptions::default())
-}
-
-/// Job-layer knobs for [`tune_with_options`]. The default — O3 start, a
-/// cancel token that never fires — makes it exactly
-/// [`tune_traced_pooled`].
-#[derive(Debug, Clone, Default)]
+/// Knobs for [`tune`]. The default — a disabled tracer, a 1-thread
+/// pool, O3 start, a cancel token that never fires, serial IE — is the
+/// paper's offline flow.
+#[derive(Debug, Clone)]
 pub struct TuneOptions {
+    /// Tracer for the tuning phase: every rating call and tuning run
+    /// emits telemetry through it.
+    pub tracer: Tracer,
+    /// Job pool: each round's candidate frontier is pre-compiled in
+    /// parallel through the shared [`VersionCache`]. Warm-up is pure, so
+    /// the serial protocol's output is byte-identical at any pool size;
+    /// the pooled strategies also rate on it, thread-count-invariantly.
+    pub pool: Pool,
     /// IE start configuration (`None` = O3; the serve daemon's
     /// knowledge-store warm start supplies a nearest-neighbour config).
     pub start: Option<OptConfig>,
     /// Cooperative cancellation token, checked at run starts, IE round
     /// boundaries, and between the tuning and production phases.
     pub cancel: CancelToken,
-    /// Search strategy. `None` runs the legacy serial IE — the
+    /// Search strategy. `None` runs the serial IE — the
     /// goldens-compatible protocol. `Some(kind)` runs `kind` on the
     /// pooled per-candidate rater ([`FrontierRater::pooled`]), seeded
     /// deterministically from the (workload, machine) pair — so even
@@ -144,21 +111,32 @@ pub struct TuneOptions {
     pub strategy: Option<StrategyKind>,
 }
 
-/// [`tune_traced_pooled`] with job-layer options (warm start +
-/// cancellation) — the entry point behind
+impl Default for TuneOptions {
+    fn default() -> Self {
+        TuneOptions {
+            tracer: Tracer::disabled(),
+            pool: Pool::with_threads(1),
+            start: None,
+            cancel: CancelToken::default(),
+            strategy: None,
+        }
+    }
+}
+
+/// Tune a workload with `method` on `tuned_on`, then evaluate on the ref
+/// input. This is one bar of Figure 7(a)/(b) plus the tuning-time number
+/// for 7(c)/(d), and the entry point behind
 /// [`run_tuning_job`](crate::job::run_tuning_job).
-pub fn tune_with_options(
+pub fn tune(
     workload: &dyn Workload,
     spec: &MachineSpec,
     method: Method,
     tuned_on: Dataset,
-    tracer: Tracer,
-    pool: &Pool,
     options: &TuneOptions,
 ) -> TuneReport {
     let mut setup = TuningSetup::new(workload, spec.clone(), tuned_on);
-    setup.set_tracer(tracer);
-    setup.set_pool(pool.clone());
+    setup.set_tracer(options.tracer.clone());
+    setup.set_pool(options.pool.clone());
     setup.set_cancel(options.cancel.clone());
     let start = options.start.unwrap_or_else(OptConfig::o3);
     let search = match options.strategy {
@@ -168,13 +146,10 @@ pub fn tune_with_options(
             // IE honors the warm start; the seeded strategies define
             // their own initialization off O3.
             let strategy: Box<dyn SearchStrategy> = match kind {
-                StrategyKind::Ie => Box::new(IterativeElimination {
-                    start,
-                    max_rounds: crate::search::MAX_IE_ROUNDS,
-                }),
+                StrategyKind::Ie => Box::new(IterativeElimination { start, ..Default::default() }),
                 _ => build_strategy(kind, seed),
             };
-            let mut rater = FrontierRater::pooled(&mut setup, pool.clone(), method);
+            let mut rater = FrontierRater::pooled(&mut setup, options.pool.clone(), method);
             strategy.run(&mut rater)
         }
     };
@@ -200,25 +175,21 @@ pub fn tune_with_options(
     }
 }
 
-/// Checkpointed, fault-tolerant tuning driver: Iterative Elimination with
-/// the [`RatingSupervisor`] in the loop (retry-with-backoff + degradation
-/// cascade), serializing its full state after every rating step so a
-/// killed job resumes bit-identically via [`Tuner::resume`].
+/// Checkpointed, fault-tolerant tuning driver: [`IterativeElimination`]
+/// on a serial [`FrontierRater`] with the supervised fallback policy
+/// ([`RatingSupervisor::default`]: retry-with-backoff + degradation
+/// cascade), serializing its full state after every round so a killed
+/// job resumes bit-identically via [`Tuner::resume`].
 ///
-/// With no faults installed and no degradation triggered, `run()` visits
-/// the same (base, candidates) rating sequence as
-/// [`iterative_elimination`] — the supervisor's accept path is the §3
-/// fallback check — but drives it one observable, resumable step at a
-/// time.
+/// The loop is the one [`iterative_elimination`](crate::search::iterative_elimination)
+/// runs; only the policy differs. With no faults installed and no
+/// degradation triggered, both visit the same (base, candidates) rating
+/// sequence.
 pub struct Tuner<'w> {
     setup: TuningSetup<'w>,
-    supervisor: RatingSupervisor,
     method: Method,
-    last_method: Method,
-    base: OptConfig,
-    round: usize,
-    ratings: usize,
-    done: bool,
+    acct: RaterAccounting,
+    ie: IeState,
     checkpoint_path: Option<PathBuf>,
 }
 
@@ -247,20 +218,11 @@ impl<'w> Tuner<'w> {
         setup.set_faults(faults);
         Tuner {
             setup,
-            supervisor: RatingSupervisor::default(),
             method,
-            last_method: method,
-            base: OptConfig::o3(),
-            round: 0,
-            ratings: 0,
-            done: false,
+            acct: RaterAccounting::new(method, RatingSupervisor::default()),
+            ie: IeState::new(OptConfig::o3()),
             checkpoint_path: None,
         }
-    }
-
-    /// Override the supervisor policy (must be called before stepping).
-    pub fn set_supervisor(&mut self, config: SupervisorConfig) {
-        self.supervisor = RatingSupervisor::new(config);
     }
 
     /// Install a tracer on the underlying [`TuningSetup`]: tuner rounds,
@@ -286,24 +248,25 @@ impl<'w> Tuner<'w> {
 
     /// Snapshot the current state.
     pub fn checkpoint(&self) -> TunerCheckpoint {
+        let sup = &self.acct.supervisor;
         TunerCheckpoint {
             benchmark: self.setup.workload.name().to_string(),
             machine: self.setup.spec.kind.name().to_string(),
             dataset: dataset_name(self.setup.ds).to_string(),
             method: self.method,
-            last_method: self.last_method,
-            base_bits: self.base.bits(),
-            round: self.round,
-            ratings: self.ratings,
-            supervised: self.supervisor.ratings(),
-            switches: self.supervisor.events().len() as u32,
+            last_method: self.acct.last_method,
+            base_bits: self.ie.base.bits(),
+            round: self.ie.round,
+            ratings: self.acct.ratings,
+            supervised: sup.ratings(),
+            switches: sup.switches(),
             next_seed: self.setup.next_seed(),
             tuning_cycles: self.setup.tuning_cycles,
             runs_used: self.setup.runs_used,
             invocations_used: self.setup.invocations_used,
             fault_config: self.setup.fault_config().cloned(),
-            events: self.supervisor.events().to_vec(),
-            done: self.done,
+            events: sup.events().to_vec(),
+            done: self.ie.done,
         }
     }
 
@@ -341,19 +304,19 @@ impl<'w> Tuner<'w> {
                 ))
             }
         };
-        let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config.clone());
+        let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config);
         tuner.setup.restore_accounting(
             cp.next_seed,
             cp.tuning_cycles,
             cp.runs_used,
             cp.invocations_used,
         );
-        tuner.supervisor.restore(cp.events.clone(), cp.supervised);
-        tuner.last_method = cp.last_method;
-        tuner.base = OptConfig::from_bits(cp.base_bits);
-        tuner.round = cp.round;
-        tuner.ratings = cp.ratings;
-        tuner.done = cp.done;
+        tuner.acct.supervisor.restore(cp.events, cp.supervised);
+        tuner.acct.last_method = cp.last_method;
+        tuner.acct.round = cp.round;
+        tuner.acct.ratings = cp.ratings;
+        let base = OptConfig::from_bits(cp.base_bits);
+        tuner.ie = IeState { base, round: cp.round, done: cp.done };
         tuner.checkpoint_path = Some(path.to_path_buf());
         Ok(tuner)
     }
@@ -362,74 +325,22 @@ impl<'w> Tuner<'w> {
     /// all single-flag removals), then checkpoint. Returns `false` once
     /// the search has terminated.
     pub fn step(&mut self) -> bool {
-        if self.done {
+        if self.ie.done {
             return false;
         }
-        let flags = self.base.enabled_flags();
-        if flags.is_empty() {
-            self.done = true;
-            self.save_checkpoint();
-            return false;
-        }
-        let tracer = self.setup.tracer().clone();
-        let _round_span = if tracer.enabled() {
-            Some(tracer.span(
-                "tuner.round",
-                vec![
-                    ("round".to_owned(), Json::U(self.round as u64)),
-                    ("base".to_owned(), Json::U(self.base.bits())),
-                    ("flags_enabled".to_owned(), Json::U(flags.len() as u64)),
-                ],
-            ))
-        } else {
-            None
-        };
-        let candidates: Vec<OptConfig> =
-            flags.iter().map(|&f| self.base.without(f)).collect();
-        // Pre-compile the frontier (pure; see `TuningSetup::warm_frontier`).
-        let mut warm = candidates.clone();
-        warm.push(self.base);
-        self.setup.warm_frontier(&warm, matches!(self.method, Method::Mbr));
-        let (out, used) = if matches!(self.method, Method::Whl | Method::Avg) {
-            // Baselines rate directly; the cascade has nowhere to go.
-            (
-                rate(&mut self.setup, self.method, self.base, &candidates)
-                    .expect("baseline method rates"),
-                self.method,
-            )
-        } else {
-            self.supervisor.rate(&mut self.setup, self.method, self.base, &candidates)
-        };
-        self.last_method = used;
-        self.ratings += candidates.len();
-        self.round += 1;
-        let bestidx = (0..candidates.len())
-            .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
-        let mut removed: Option<&'static str> = None;
-        match bestidx {
-            Some(i) if out.improvements[i] >= crate::search::MIN_GAIN => {
-                removed = Some(flags[i].name());
-                self.base = candidates[i];
-            }
-            _ => self.done = true,
-        }
-        if self.round >= crate::search::MAX_IE_ROUNDS {
-            self.done = true;
-        }
-        if tracer.enabled() {
-            let best = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0);
-            event!(
-                tracer,
-                "tuner.step",
-                round = (self.round - 1) as u64,
-                method = used.name(),
-                best_improvement = best,
-                removed_flag = removed,
-                done = self.done,
-            );
-        }
+        let _round = span!(
+            self.setup.tracer(),
+            "tuner.round",
+            round = self.ie.round as u64,
+            base = self.ie.base.bits(),
+            flags_enabled = self.ie.base.enabled_flags().len() as u64,
+        );
+        let mut rater =
+            FrontierRater::serial(&mut self.setup, self.method).with_accounting(self.acct.clone());
+        let more = IterativeElimination::default().step(&mut rater, &mut self.ie);
+        self.acct = rater.into_accounting();
         self.save_checkpoint();
-        !self.done
+        more
     }
 
     /// Run the search to completion and return the result.
@@ -440,32 +351,18 @@ impl<'w> Tuner<'w> {
 
     /// Downgrades logged so far.
     pub fn events(&self) -> &[DegradeEvent] {
-        self.supervisor.events()
+        self.acct.supervisor.events()
     }
 
     /// Whether the search has terminated.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.ie.done
     }
 
     /// The search result for the current state (final once
     /// [`Tuner::is_done`]).
     pub fn result(&self) -> SearchResult {
-        SearchResult {
-            best: self.base,
-            disabled_flags: self
-                .base
-                .disabled_flags()
-                .iter()
-                .map(|f| f.name().to_string())
-                .collect(),
-            method: self.last_method,
-            switches: self.supervisor.events().len() as u32,
-            ratings: self.ratings,
-            tuning_cycles: self.setup.tuning_cycles,
-            runs: self.setup.runs_used,
-            invocations: self.setup.invocations_used,
-        }
+        self.acct.result(self.ie.base, &self.setup)
     }
 
     fn save_checkpoint(&self) {
@@ -531,7 +428,7 @@ mod tests {
     fn tuned_swim_not_slower_than_o3() {
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
-        let report = tune(&w, &spec, Method::Cbr, Dataset::Train);
+        let report = tune(&w, &spec, Method::Cbr, Dataset::Train, &TuneOptions::default());
         assert!(
             report.improvement_pct > -2.0,
             "tuning must not noticeably hurt: {:+.1}% (flags off: {:?})",

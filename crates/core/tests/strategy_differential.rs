@@ -6,19 +6,21 @@
 //!    IE, random — produces a byte-identical `SearchResult` (and spends
 //!    an identical compilation budget) at 1, 2, and 5 pool threads. The
 //!    1-thread pool runs every candidate job inline in index order, so
-//!    it *is* the serial reference.
-//! 2. **Refactor equivalence.** The trait extraction must not move the
-//!    serial IE goldens: `iterative_elimination` (now a thin wrapper
-//!    over `IterativeElimination` on a serial rater) still matches the
-//!    supervised `Tuner` — an independent implementation of the same
-//!    loop — and the parallel wrapper still matches the strategy-layer
-//!    entry point. (The `results_table1_*` byte-compare in CI pins the
-//!    golden files themselves.)
+//!    it *is* the serial reference; comparing it against 2- and N-thread
+//!    pools pins down per-job seeding, scratch isolation, index-ordered
+//!    merging, and in-flight compile de-duplication. Budget-capped legs
+//!    cover every strategy; round-capped IE legs with no budget cover
+//!    the per-candidate frontier search on its own.
+//! 2. **Policy agreement.** Serial IE (the paper's fallback policy)
+//!    matches the checkpointing `Tuner` (the supervised policy on the
+//!    same IE loop) on a clean run, where neither policy has a reason to
+//!    retry or degrade. (The `results_table1_*` byte-compare in CI pins
+//!    the golden files themselves.)
 
 use peak_core::consultant::Method;
 use peak_core::{
-    iterative_elimination, iterative_elimination_parallel_capped, search_with_strategy_spent,
-    Pool, SearchResult, StrategyKind, Tuner, TuningSetup,
+    build_strategy, iterative_elimination, CompilationBudget, FrontierRater, IterativeElimination,
+    Pool, SearchResult, SearchStrategy, StrategyKind, Tuner, TuningSetup,
 };
 use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
@@ -33,17 +35,25 @@ const BUDGET: usize = 80;
 /// be the same across legs).
 const SEED: u64 = 0x5eed_cafe;
 
-fn run_strategy_leg(
+/// Run `strategy` on a pooled rater at `threads`, capped at `budget`
+/// unique configurations (`None` = unlimited); returns the result and
+/// the budget spent.
+fn run_leg(
     bench: &str,
     spec: &MachineSpec,
     method: Method,
-    kind: StrategyKind,
+    strategy: &dyn SearchStrategy,
+    budget: Option<usize>,
     threads: usize,
 ) -> (SearchResult, usize) {
     let w = peak_workloads::workload_by_name(bench).expect("known workload");
     let mut setup = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let pool = Pool::with_threads(threads);
-    search_with_strategy_spent(&mut setup, &pool, method, kind, Some(BUDGET), SEED)
+    let mut rater = FrontierRater::pooled(&mut setup, Pool::with_threads(threads), method);
+    if let Some(n) = budget {
+        rater = rater.with_budget(CompilationBudget::limited(n));
+    }
+    let result = strategy.run(&mut rater);
+    (result, rater.spent())
 }
 
 fn assert_fields_equal(label: &str, got: &SearchResult, reference: &SearchResult) {
@@ -57,21 +67,35 @@ fn assert_fields_equal(label: &str, got: &SearchResult, reference: &SearchResult
     assert_eq!(got.invocations, reference.invocations, "{label}: invocations");
 }
 
-fn assert_strategy_identical(bench: &str, spec: &MachineSpec, method: Method, kind: StrategyKind) {
-    let (reference, ref_spent) = run_strategy_leg(bench, spec, method, kind, THREADS[0]);
-    assert!(reference.ratings > 0, "{}: search must rate something", kind.name());
-    assert!(ref_spent <= BUDGET, "{}: budget respected", kind.name());
+fn assert_identical(
+    bench: &str,
+    spec: &MachineSpec,
+    method: Method,
+    strategy: &dyn SearchStrategy,
+    budget: Option<usize>,
+) {
+    let name = strategy.name();
+    let (reference, ref_spent) = run_leg(bench, spec, method, strategy, budget, THREADS[0]);
+    assert!(reference.ratings > 0, "{name}: search must rate something");
+    assert!(budget.is_none_or(|b| ref_spent <= b), "{name}: budget respected");
     for &threads in &THREADS[1..] {
-        let (got, spent) = run_strategy_leg(bench, spec, method, kind, threads);
-        let label = format!(
-            "{bench}/{}/{}/{} at {threads} threads",
-            spec.kind.name(),
-            method.name(),
-            kind.name()
-        );
+        let (got, spent) = run_leg(bench, spec, method, strategy, budget, threads);
+        let label =
+            format!("{bench}/{}/{}/{name} at {threads} threads", spec.kind.name(), method.name());
         assert_fields_equal(&label, &got, &reference);
         assert_eq!(spent, ref_spent, "{label}: budget spent");
     }
+}
+
+/// A budget-capped leg of `kind`, seeded with the suite seed.
+fn assert_strategy_identical(bench: &str, spec: &MachineSpec, method: Method, kind: StrategyKind) {
+    assert_identical(bench, spec, method, &*build_strategy(kind, SEED), Some(BUDGET));
+}
+
+/// A round-capped IE leg with no budget.
+fn assert_ie_rounds_identical(bench: &str, spec: &MachineSpec, method: Method, rounds: usize) {
+    let ie = IterativeElimination { max_rounds: rounds, ..Default::default() };
+    assert_identical(bench, spec, method, &ie, None);
 }
 
 #[test]
@@ -99,51 +123,50 @@ fn random_identical_across_thread_counts() {
     assert_strategy_identical("art", &MachineSpec::pentium_iv(), Method::Rbr, StrategyKind::Random);
 }
 
+/// Two IE rounds on SWIM×SPARC-II×CBR: crosses a round boundary, so the
+/// base update and the second round's re-seeded frontier are covered.
+#[test]
+fn swim_sparc_cbr_identical_across_thread_counts() {
+    assert_ie_rounds_identical("swim", &MachineSpec::sparc_ii(), Method::Cbr, 2);
+}
+
+/// One round of ART×Pentium-IV×RBR — the paper's marquee cell (and the
+/// machine where float-ordering wobble once lived).
+#[test]
+fn art_p4_rbr_identical_across_thread_counts() {
+    assert_ie_rounds_identical("art", &MachineSpec::pentium_iv(), Method::Rbr, 1);
+}
+
 /// Same seed, same machine, run twice: the GA trajectory must replay
 /// exactly (catches hidden global state leaking into the search).
 #[test]
 fn ga_same_seed_replays_exactly() {
-    let (a, sa) = run_strategy_leg("art", &MachineSpec::pentium_iv(), Method::Rbr, StrategyKind::Ga, 2);
-    let (b, sb) = run_strategy_leg("art", &MachineSpec::pentium_iv(), Method::Rbr, StrategyKind::Ga, 2);
+    let ga = build_strategy(StrategyKind::Ga, SEED);
+    let leg = || run_leg("art", &MachineSpec::pentium_iv(), Method::Rbr, &*ga, Some(BUDGET), 2);
+    let ((a, sa), (b, sb)) = (leg(), leg());
     assert_fields_equal("ga replay", &b, &a);
     assert_eq!(sa, sb);
 }
 
-/// The parallel IE wrapper and the strategy-layer entry point are the
-/// same search (wrapper delegation must not drift).
+/// Serial IE under the paper policy matches the `Tuner` under the
+/// supervised policy on clean ART×P4×RBR: the two policies share the IE
+/// loop and the walk, and only differ once a rating fails.
 #[test]
-fn parallel_wrapper_matches_strategy_layer() {
-    let spec = MachineSpec::sparc_ii();
-    let w = peak_workloads::workload_by_name("swim").unwrap();
-    let pool = Pool::with_threads(2);
-    let mut setup_a = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let via_wrapper = iterative_elimination_parallel_capped(&mut setup_a, Method::Cbr, &pool, 10);
-    let mut setup_b = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let (via_strategy, _) =
-        search_with_strategy_spent(&mut setup_b, &pool, Method::Cbr, StrategyKind::Ie, None, SEED);
-    assert_fields_equal("wrapper vs strategy layer", &via_strategy, &via_wrapper);
-}
-
-/// Serial IE behind the trait still matches the supervised `Tuner` — an
-/// independent implementation of the same loop that the refactor did
-/// not touch. This is the in-repo half of the goldens guarantee (CI
-/// byte-compares the `results_table1_*` files themselves).
-#[test]
-fn serial_ie_unchanged_by_refactor() {
+fn serial_ie_matches_clean_supervised_tuner() {
     let w = peak_workloads::workload_by_name("art").unwrap();
     let spec = MachineSpec::pentium_iv();
     let mut setup = TuningSetup::new(w.as_ref(), spec.clone(), Dataset::Train);
-    let refactored = iterative_elimination(&mut setup, Method::Rbr);
+    let paper = iterative_elimination(&mut setup, Method::Rbr);
     let mut tuner = Tuner::new(w.as_ref(), spec, Method::Rbr, Dataset::Train);
-    let independent = tuner.run();
-    assert_eq!(refactored.best, independent.best, "best config");
-    assert_eq!(refactored.ratings, independent.ratings, "ratings");
-    assert_eq!(refactored.runs, independent.runs, "runs");
-    assert_eq!(refactored.invocations, independent.invocations, "invocations");
-    assert_eq!(refactored.tuning_cycles, independent.tuning_cycles, "tuning cycles");
+    let supervised = tuner.run();
+    assert_eq!(paper.best, supervised.best, "best config");
+    assert_eq!(paper.ratings, supervised.ratings, "ratings");
+    assert_eq!(paper.runs, supervised.runs, "runs");
+    assert_eq!(paper.invocations, supervised.invocations, "invocations");
+    assert_eq!(paper.tuning_cycles, supervised.tuning_cycles, "tuning cycles");
     assert!(
-        refactored.disabled_flags.iter().any(|f| f == "strict-aliasing"),
-        "the marquee ART×P4 result survives the refactor: {:?}",
-        refactored.disabled_flags
+        paper.disabled_flags.iter().any(|f| f == "strict-aliasing"),
+        "the marquee ART×P4 result: {:?}",
+        paper.disabled_flags
     );
 }

@@ -117,7 +117,8 @@ fn main() {
     for spec in [MachineSpec::sparc_ii(), MachineSpec::pentium_iv()] {
         let consultation = peak_core::consult(&w, &spec);
         let method = consultation.order[0];
-        let report = peak_core::tune(&w, &spec, method, Dataset::Train);
+        let report =
+            peak_core::tune(&w, &spec, method, Dataset::Train, &peak_core::TuneOptions::default());
         println!(
             "{}: method={}, improvement {:+.2}%, flags off: {:?}",
             spec.kind.name(),

@@ -48,7 +48,8 @@ fn main() {
     // 2. Tune: Iterative Elimination over the 38 -O3 flags, rating each
     //    flag-removal candidate with the chosen method on the train input.
     println!("\nTuning with {} on the train input…", method.name());
-    let report = peak_core::tune(&workload, &spec, method, Dataset::Train);
+    let report =
+        peak_core::tune(&workload, &spec, method, Dataset::Train, &peak_core::TuneOptions::default());
     println!("  ratings performed: {}", report.search.ratings);
     println!("  application runs:  {}", report.search.runs);
     println!("  tuning cycles:     {}", report.search.tuning_cycles);

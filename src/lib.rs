@@ -39,5 +39,6 @@ pub fn tune_benchmark(
         &spec,
         consultation.order[0],
         peak_workloads::Dataset::Train,
+        &peak_core::TuneOptions::default(),
     )
 }

@@ -193,7 +193,8 @@ fn section_rating_beats_whole_program_rating_in_cost() {
 fn train_tuning_transfers_to_ref() {
     let w = peak_workloads::art::ArtMatch::new();
     let spec = MachineSpec::pentium_iv();
-    let report = peak_core::tune(&w, &spec, Method::Rbr, Dataset::Train);
+    let report =
+        peak_core::tune(&w, &spec, Method::Rbr, Dataset::Train, &peak_core::TuneOptions::default());
     assert!(
         report.improvement_pct > 30.0,
         "ART P4 train-tuned must transfer: {:+.1}%",

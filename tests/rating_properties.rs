@@ -52,15 +52,17 @@ fn rating_falls_back_down_the_method_order() {
     assert_eq!(setup.consult.order.first(), Some(&Method::Mbr));
     let base = OptConfig::o3();
     let cands = [base.without(peak_opt::Flag::PrefetchLoopArrays)];
-    let mut switches = 0;
-    let (out, used) =
-        peak_core::search::rate_with_fallback(&mut setup, Method::Mbr, base, &cands, &mut switches);
+    let rate_from = |setup: &mut TuningSetup<'_>, preferred: Method| {
+        let mut rater = peak_core::FrontierRater::serial(setup, preferred);
+        let fo = rater.rate(base, &cands).expect("an unlimited budget rates every frontier");
+        (fo.out, fo.method, rater.switches())
+    };
+    let (out, used, switches) = rate_from(&mut setup, Method::Mbr);
     // MBR fits MGRID well, so normally no switch happens…
     assert!(out.improvements.len() == 1);
     assert!(used == Method::Mbr || switches > 0);
     // …and explicitly starting at RBR uses RBR.
-    let (_, used_rbr) =
-        peak_core::search::rate_with_fallback(&mut setup, Method::Rbr, base, &cands, &mut switches);
+    let (_, used_rbr, _) = rate_from(&mut setup, Method::Rbr);
     assert_eq!(used_rbr, Method::Rbr);
 }
 
