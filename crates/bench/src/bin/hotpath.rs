@@ -27,10 +27,11 @@
 //! gate (default 2%) — instrumentation that taxes the hot path gets
 //! caught in CI, not in production.
 //!
-//! `--tier {interp,predecoded,jit}` forces the execution tier for the
-//! invocation benchmark (overriding `PEAK_TIER`), and `--jit` runs the
-//! tier A/B comparison: interleaved fixed-work slices of all three
-//! tiers per workload×machine pair, medians, and the jit-vs-predecoded
+//! `--tier {interp,predecoded,jit}` picks the engine the invocation
+//! and `--obs` benchmarks build (overriding `PEAK_TIER`; default jit),
+//! and `--jit` runs the tier A/B comparison: one engine per tier built
+//! from the same prepared version, interleaved fixed-work slices of all
+//! three per workload×machine pair, medians, and the jit-vs-predecoded
 //! speedup, written to `BENCH_jit.json`. Exits non-zero when the jit
 //! tier is *slower* than predecoded on more than 25% of pairs (the CI
 //! bench-smoke gate; tune with `--jit-gate-pct`).
@@ -53,9 +54,10 @@
 //! `--strategies-agg-tolerance-pct`). Exits non-zero on any gate or
 //! thread-identity failure.
 
-use peak_core::{RunHarness, VersionCache};
+use peak_core::{build_engine, RunHarness, VersionCache};
+use peak_obs::Tracer;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS};
-use peak_sim::{ExecOptions, ExecTier, MachineKind, MachineSpec, PreparedVersion};
+use peak_sim::{ExecOptions, ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
 use peak_util::Json;
 use peak_workloads::{Dataset, Workload};
 use std::io::Write;
@@ -99,28 +101,29 @@ fn neighbour_configs() -> Vec<OptConfig> {
     cfgs
 }
 
-/// Time `min_ms` worth of TS invocations of the -O3 version (fresh
-/// harness per exhausted invocation budget — cache/predictor state warms
-/// exactly like a tuning run's).
+/// The prepared -O3 version of `w` on `spec`.
+fn prepare_o3(w: &dyn Workload, spec: &MachineSpec) -> PreparedVersion {
+    PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()), spec)
+}
+
+/// Time `min_ms` worth of TS invocations of the -O3 version on `tier`'s
+/// engine (fresh harness per exhausted invocation budget —
+/// cache/predictor state warms exactly like a tuning run's).
 fn time_invocations(
     w: &dyn Workload,
     spec: &MachineSpec,
     min_ms: u64,
     tier: ExecTier,
 ) -> (u64, f64) {
-    let pv = PreparedVersion::prepare(
-        peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
-        spec,
-    );
+    let engine = build_engine(prepare_o3(w, spec), tier, &Tracer::disabled());
     let opts = ExecOptions::default();
-    // Warm-up run so one-time costs (lazy allocs, page faults, the jit
-    // tier's lowering) don't pollute the first timed slice.
+    // Warm-up run so one-time costs (lazy allocs, page faults) don't
+    // pollute the first timed slice.
     {
         let mut h = RunHarness::new(w, Dataset::Train, spec, 1);
-        h.set_tier(tier);
         for _ in 0..8 {
             let Some(args) = h.next_args() else { break };
-            let _ = h.execute(&pv, &args, &opts);
+            let _ = h.execute(&*engine, &args, &opts);
         }
     }
     let budget = std::time::Duration::from_millis(min_ms);
@@ -129,10 +132,9 @@ fn time_invocations(
     let mut seed = 2u64;
     'outer: loop {
         let mut h = RunHarness::new(w, Dataset::Train, spec, seed);
-        h.set_tier(tier);
         seed += 1;
         while let Some(args) = h.next_args() {
-            let _ = h.execute(&pv, &args, &opts);
+            let _ = h.execute(&*engine, &args, &opts);
             n += 1;
             if n.is_multiple_of(64) && start.elapsed() >= budget {
                 break 'outer;
@@ -275,7 +277,7 @@ fn main() {
         let obs_json = arg_value(&args, "--obs-json").unwrap_or_else(|| "BENCH_obs.json".into());
         let gate_pct: f64 = arg_value(&args, "--obs-gate-pct")
             .map_or(2.0, |v| v.parse().expect("--obs-gate-pct"));
-        if !obs_bench(&obs_json, gate_pct, min_ms) {
+        if !obs_bench(&obs_json, gate_pct, min_ms, tier) {
             std::process::exit(1);
         }
     }
@@ -347,14 +349,13 @@ fn costmodel_bench(
     for w in workloads {
         for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let pv = PreparedVersion::prepare(
-                peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
-                &spec,
-            );
-            // Warm both paths (jit lowering, arg-stream materialization)
-            // and calibrate the slice on the predecoded tier.
-            let _ = timed_fixed_invocations(w.as_ref(), &spec, &pv, 64, tier);
-            let warm = timed_fixed_invocations(w.as_ref(), &spec, &pv, 512, ExecTier::Predecoded);
+            let pv = prepare_o3(w.as_ref(), &spec);
+            let fast_engine = build_engine(pv.clone(), tier, &Tracer::disabled());
+            let pre_engine = build_engine(pv, ExecTier::Predecoded, &Tracer::disabled());
+            // Warm both engines (arg-stream materialization) and
+            // calibrate the slice on the predecoded tier.
+            let _ = timed_fixed_invocations(w.as_ref(), &spec, &*fast_engine, 64);
+            let warm = timed_fixed_invocations(w.as_ref(), &spec, &*pre_engine, 512);
             let rate = 512.0 / warm.max(1e-9);
             let slice =
                 ((rate * (min_ms as f64 / 1000.0) / ROUNDS as f64) as u64).clamp(256, 1 << 20);
@@ -368,17 +369,15 @@ fn costmodel_bench(
                         tier_secs.push(timed_fixed_invocations(
                             w.as_ref(),
                             &spec,
-                            &pv,
+                            &*fast_engine,
                             slice,
-                            tier,
                         ));
                     } else {
                         pre_secs.push(timed_fixed_invocations(
                             w.as_ref(),
                             &spec,
-                            &pv,
+                            &*pre_engine,
                             slice,
-                            ExecTier::Predecoded,
                         ));
                     }
                 }
@@ -479,15 +478,13 @@ fn jit_bench(
     for w in workloads {
         for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let pv = PreparedVersion::prepare(
-                peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
-                &spec,
-            );
+            let pv = prepare_o3(w.as_ref(), &spec);
+            let engines = TIERS.map(|t| build_engine(pv.clone(), t, &Tracer::disabled()));
             // Calibrate the slice on the predecoded tier so each
             // tier-slice runs roughly min_ms/ROUNDS (also warms the
-            // jit lowering before any timed slice).
-            let _ = timed_fixed_invocations(w.as_ref(), &spec, &pv, 64, ExecTier::Jit);
-            let warm = timed_fixed_invocations(w.as_ref(), &spec, &pv, 512, ExecTier::Predecoded);
+            // argument stream before any timed slice).
+            let _ = timed_fixed_invocations(w.as_ref(), &spec, &*engines[2], 64);
+            let warm = timed_fixed_invocations(w.as_ref(), &spec, &*engines[1], 512);
             let rate = 512.0 / warm.max(1e-9);
             let slice =
                 ((rate * (min_ms as f64 / 1000.0) / ROUNDS as f64) as u64).clamp(256, 1 << 20);
@@ -496,13 +493,7 @@ fn jit_bench(
                 for k in 0..TIERS.len() {
                     // Rotate which tier goes first each round.
                     let ti = (round + k) % TIERS.len();
-                    secs[ti].push(timed_fixed_invocations(
-                        w.as_ref(),
-                        &spec,
-                        &pv,
-                        slice,
-                        TIERS[ti],
-                    ));
+                    secs[ti].push(timed_fixed_invocations(w.as_ref(), &spec, &*engines[ti], slice));
                 }
             }
             let rate_of = |i: usize| slice as f64 / median(&secs[i]).max(1e-9);
@@ -794,14 +785,13 @@ fn strategies_bench(
     pass
 }
 
-/// Run exactly `count` TS invocations of `pv` and return wall seconds —
-/// the fixed-work slice both sides of the A/B comparison share.
+/// Run exactly `count` TS invocations on `engine` and return wall
+/// seconds — the fixed-work slice both sides of an A/B comparison share.
 fn timed_fixed_invocations(
     w: &dyn Workload,
     spec: &MachineSpec,
-    pv: &PreparedVersion,
+    engine: &dyn TierBackend,
     count: u64,
-    tier: ExecTier,
 ) -> f64 {
     let opts = ExecOptions::default();
     let mut n = 0u64;
@@ -809,10 +799,9 @@ fn timed_fixed_invocations(
     let start = Instant::now();
     'outer: loop {
         let mut h = RunHarness::new(w, Dataset::Train, spec, seed);
-        h.set_tier(tier);
         seed += 1;
         while let Some(args) = h.next_args() {
-            let _ = h.execute(pv, &args, &opts);
+            let _ = h.execute(engine, &args, &opts);
             n += 1;
             if n >= count {
                 break 'outer;
@@ -832,20 +821,18 @@ fn median(xs: &[f64]) -> f64 {
 /// metrics-off slices of the same fixed invocation count (interleaving
 /// cancels thermal/frequency drift; medians shrug off outlier slices),
 /// writes `json_path`, and returns whether the median on-vs-off overhead
-/// stayed at or under `gate_pct`.
-fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64) -> bool {
+/// stayed at or under `gate_pct`. Measures `tier`'s engine (the default
+/// jit unless `--tier` or `PEAK_TIER` says otherwise).
+fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> bool {
     use peak_obs::metrics;
 
     const PAIRS: usize = 9;
     let w = peak_workloads::workload_by_name("swim").expect("swim workload");
     let spec = MachineSpec::sparc_ii();
-    let pv = PreparedVersion::prepare(
-        peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
-        &spec,
-    );
+    let engine = build_engine(prepare_o3(w.as_ref(), &spec), tier, &Tracer::disabled());
     // Calibrate the slice size so each of the 2×PAIRS slices runs for
     // roughly min_ms/PAIRS — enough work that timer granularity is noise.
-    let warm_secs = timed_fixed_invocations(w.as_ref(), &spec, &pv, 4096, ExecTier::Predecoded);
+    let warm_secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, 4096);
     let rate = 4096.0 / warm_secs.max(1e-9);
     let slice = ((rate * (min_ms as f64 / 1000.0) / PAIRS as f64) as u64).max(4096);
     let restore = metrics::enabled();
@@ -857,7 +844,7 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64) -> bool {
         let order = if pair % 2 == 0 { [false, true] } else { [true, false] };
         for enabled in order {
             metrics::set_enabled(enabled);
-            let secs = timed_fixed_invocations(w.as_ref(), &spec, &pv, slice, ExecTier::Predecoded);
+            let secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, slice);
             if enabled { on.push(secs) } else { off.push(secs) }
         }
     }
@@ -868,6 +855,7 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64) -> bool {
     let doc = Json::obj(vec![
         ("workload", Json::Str("swim".to_owned())),
         ("machine", Json::Str("SPARC-II".to_owned())),
+        ("tier", Json::Str(engine.tier().name().to_owned())),
         ("invocations_per_slice", Json::U(slice)),
         ("pairs", Json::U(PAIRS as u64)),
         ("on_secs", Json::Arr(on.iter().map(|&s| Json::F(s)).collect())),

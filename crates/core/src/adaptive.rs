@@ -15,7 +15,7 @@ use crate::harness::RunHarness;
 use crate::stats::Window;
 use crate::version_cache::VersionCache;
 use peak_opt::OptConfig;
-use peak_sim::{ExecOptions, MachineSpec, PreparedVersion};
+use peak_sim::{ExecOptions, MachineSpec, TierBackend};
 use peak_workloads::Workload;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,7 +47,7 @@ pub struct AdaptiveOutcome {
 /// The adaptive tuner.
 pub struct AdaptiveTuner {
     candidates: Vec<OptConfig>,
-    versions: Vec<Arc<PreparedVersion>>,
+    versions: Vec<Arc<dyn TierBackend>>,
     sources: Vec<peak_ir::ContextSource>,
     varying: Vec<usize>,
     /// Run the experiment every `sample_every`-th matching invocation.
@@ -112,7 +112,7 @@ impl AdaptiveTuner {
             let experimenting =
                 st.experiment < n_versions && tick.is_multiple_of(self.sample_every);
             let vi = if experimenting { st.experiment } else { st.best };
-            let (measured, _) = h.execute_timed(&self.versions[vi], &args, &opts);
+            let (measured, _) = h.execute_timed(&*self.versions[vi], &args, &opts);
             if experimenting {
                 sampling += 1;
                 st.exp_window.push(measured as f64);

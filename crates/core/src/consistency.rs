@@ -160,7 +160,7 @@ fn cbr_rows(
             let key = h.context_key(&plan.sources, &args);
             let reduced = crate::context::reduce_key(&key, &plan.varying);
             let ctx = plan.contexts.iter().position(|(k, _)| *k == reduced);
-            let (measured, _) = h.execute_timed(&pv, &args, &opts);
+            let (measured, _) = h.execute_timed(&*pv, &args, &opts);
             if let Some(c) = ctx {
                 if per_ctx[c].len() < RAW_SAMPLES {
                     per_ctx[c].push(measured as f64);
@@ -203,6 +203,7 @@ fn mbr_row(
     let pv = VersionCache::global().get_or_prepare(
         VersionKey::instrumented(workload, OptConfig::o3(), spec.kind),
         spec,
+        tracer,
         || crate::compile::compile_validated(&model.instrumented, model.ts, &OptConfig::o3()),
     );
     let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
@@ -215,7 +216,7 @@ fn mbr_row(
         seed += 1;
         let mut h = RunHarness::new(workload, Dataset::Train, spec, seed);
         while let Some(args) = h.next_args() {
-            let (measured, res) = h.execute_timed(&pv, &args, &opts);
+            let (measured, res) = h.execute_timed(&*pv, &args, &opts);
             times.push(measured as f64);
             counts.push(model.count_row(&args, &res.counters));
         }
@@ -283,22 +284,22 @@ fn rbr_row(
             }
             // Improved protocol, experimental version = base version.
             let r = if plan.inspector {
-                let res = h.execute(&pv, &args, &opts_record);
+                let res = h.execute(&*pv, &args, &opts_record);
                 let cells: Vec<(peak_ir::MemId, i64)> =
                     res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
                 let vals: Vec<peak_ir::Value> = res.writes.iter().map(|(_, _, v)| *v).collect();
                 h.restore_cells(&cells, &vals);
-                let (t1, _) = h.execute_timed(&pv, &args, &opts_plain);
+                let (t1, _) = h.execute_timed(&*pv, &args, &opts_plain);
                 h.restore_cells(&cells, &vals);
-                let (t2, _) = h.execute_timed(&pv, &args, &opts_plain);
+                let (t2, _) = h.execute_timed(&*pv, &args, &opts_plain);
                 if flip { t2 as f64 / t1.max(1) as f64 } else { t1 as f64 / t2.max(1) as f64 }
             } else {
                 let snap = h.save_regions(&plan.modified_regions);
-                let _ = h.execute(&pv, &args, &opts_plain);
+                let _ = h.execute(&*pv, &args, &opts_plain);
                 h.restore_regions(&snap);
-                let (t1, _) = h.execute_timed(&pv, &args, &opts_plain);
+                let (t1, _) = h.execute_timed(&*pv, &args, &opts_plain);
                 h.restore_regions(&snap);
-                let (t2, _) = h.execute_timed(&pv, &args, &opts_plain);
+                let (t2, _) = h.execute_timed(&*pv, &args, &opts_plain);
                 if flip { t2 as f64 / t1.max(1) as f64 } else { t1 as f64 / t2.max(1) as f64 }
             };
             flip = !flip;

@@ -225,6 +225,7 @@ fn profile_mbr_quality(
     let pv = VersionCache::global().get_or_prepare(
         VersionKey::instrumented(workload, cfg, spec.kind),
         spec,
+        &peak_obs::Tracer::disabled(),
         || crate::compile::compile_validated(&model.instrumented, model.ts, &cfg),
     );
     let mut h = RunHarness::new(workload, Dataset::Train, spec, 0xbeef);
@@ -234,7 +235,7 @@ fn profile_mbr_quality(
     let n = PROFILE_INVOCATIONS.min(workload.invocations(Dataset::Train));
     for _ in 0..n {
         let Some(args) = h.next_args() else { break };
-        let (measured, res) = h.execute_timed(&pv, &args, &opts);
+        let (measured, res) = h.execute_timed(&*pv, &args, &opts);
         times.push(measured as f64);
         counts.push(model.count_row(&args, &res.counters));
     }

@@ -9,10 +9,9 @@
 
 use crate::context::ContextKey;
 use peak_ir::{MemoryImage, Value};
-use peak_obs::Tracer;
 use peak_sim::{
-    AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, ExecTier, FaultPlan, MachineSpec,
-    MachineState, PreparedVersion,
+    AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, FaultPlan, MachineSpec,
+    MachineState, TierBackend,
 };
 use peak_workloads::{Dataset, Workload};
 use rand::rngs::StdRng;
@@ -68,13 +67,6 @@ pub struct RunHarness<'w> {
     /// Reusable executor buffers: the steady-state invocation path of a
     /// run allocates nothing.
     scratch: ExecScratch,
-    /// Execution tier for TS invocations (default: `PEAK_TIER`, else
-    /// predecoded). Any tier produces bit-identical results and cycles;
-    /// they differ only in wall-clock simulation speed.
-    tier: ExecTier,
-    /// Telemetry handle for tier events (`jit.deopt`); disabled by
-    /// default, installed by [`TuningSetup`](crate::TuningSetup).
-    tracer: Tracer,
 }
 
 impl<'w> RunHarness<'w> {
@@ -154,24 +146,7 @@ impl<'w> RunHarness<'w> {
             limit,
             pending_invs: 0,
             scratch: ExecScratch::new(),
-            tier: ExecTier::from_env(),
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Force the execution tier for this run (overrides `PEAK_TIER`).
-    pub fn set_tier(&mut self, tier: ExecTier) {
-        self.tier = tier;
-    }
-
-    /// The execution tier this run uses.
-    pub fn tier(&self) -> ExecTier {
-        self.tier
-    }
-
-    /// Install a tracer for tier telemetry (`jit.deopt` events).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Invocations remaining in this run.
@@ -215,7 +190,7 @@ impl<'w> RunHarness<'w> {
     /// [`RunHarness::try_execute`].
     pub fn execute(
         &mut self,
-        version: &PreparedVersion,
+        version: &dyn TierBackend,
         args: &[Value],
         opts: &ExecOptions,
     ) -> ExecResult {
@@ -227,70 +202,21 @@ impl<'w> RunHarness<'w> {
     /// Execute one TS invocation, surfacing failures (including injected
     /// version crashes) as data instead of panicking.
     ///
-    /// Dispatches on the execution tier: `interp` recomputes costs per
-    /// statement, `predecoded` (the default) runs the pre-decoded
-    /// stream, `jit` runs the version's threaded-code backend — lowered
-    /// lazily on first use and falling back to the predecoded tier
-    /// permanently (per version) when lowering declines. All tiers are
-    /// bit-identical in results, cycles, and machine state.
+    /// `version` is an engine already built for its tier (see
+    /// [`VersionCache`](crate::VersionCache)): lowered code by default,
+    /// a [`PreparedVersion`](peak_sim::PreparedVersion) for the
+    /// predecoded tier or a version whose lowering declined. The harness
+    /// runs it as given and counts the invocation against its tier; all
+    /// engines are bit-identical in results, cycles, and machine state.
     pub fn try_execute(
         &mut self,
-        version: &PreparedVersion,
+        version: &dyn TierBackend,
         args: &[Value],
         opts: &ExecOptions,
     ) -> Result<ExecResult, ExecError> {
         self.pending_invs += 1;
-        match self.tier {
-            ExecTier::Interp => {
-                crate::tier::count_tier(ExecTier::Interp);
-                peak_sim::execute_interp_with_scratch(
-                    version,
-                    args,
-                    &mut self.mem,
-                    &self.amap,
-                    &mut self.machine,
-                    opts,
-                    &mut self.scratch,
-                )
-            }
-            ExecTier::Jit => {
-                if let Some(be) = crate::tier::jit_backend(version, &self.tracer) {
-                    crate::tier::count_tier(ExecTier::Jit);
-                    return be.execute(
-                        args,
-                        &mut self.mem,
-                        &self.amap,
-                        &mut self.machine,
-                        opts,
-                        &mut self.scratch,
-                    );
-                }
-                // Version declined lowering: permanent per-version
-                // fallback to the predecoded tier.
-                crate::tier::count_tier(ExecTier::Predecoded);
-                peak_sim::execute_with_scratch(
-                    version,
-                    args,
-                    &mut self.mem,
-                    &self.amap,
-                    &mut self.machine,
-                    opts,
-                    &mut self.scratch,
-                )
-            }
-            ExecTier::Predecoded => {
-                crate::tier::count_tier(ExecTier::Predecoded);
-                peak_sim::execute_with_scratch(
-                    version,
-                    args,
-                    &mut self.mem,
-                    &self.amap,
-                    &mut self.machine,
-                    opts,
-                    &mut self.scratch,
-                )
-            }
-        }
+        crate::tier::count_tier(version);
+        version.execute(args, &mut self.mem, &self.amap, &mut self.machine, opts, &mut self.scratch)
     }
 
     /// Measure an execution: run it and return the *noisy* measured time
@@ -298,7 +224,7 @@ impl<'w> RunHarness<'w> {
     /// not apply here (use [`RunHarness::try_execute_timed`] for that).
     pub fn execute_timed(
         &mut self,
-        version: &PreparedVersion,
+        version: &dyn TierBackend,
         args: &[Value],
         opts: &ExecOptions,
     ) -> (u64, ExecResult) {
@@ -313,7 +239,7 @@ impl<'w> RunHarness<'w> {
     /// (e.g. an injected crash — the run should be abandoned).
     pub fn try_execute_timed(
         &mut self,
-        version: &PreparedVersion,
+        version: &dyn TierBackend,
         args: &[Value],
         opts: &ExecOptions,
     ) -> Result<(Option<u64>, ExecResult), ExecError> {
@@ -409,6 +335,7 @@ impl Drop for RunHarness<'_> {
 mod tests {
     use super::*;
     use peak_opt::OptConfig;
+    use peak_sim::PreparedVersion;
     use peak_workloads::swim::SwimCalc3;
 
     fn prepared(w: &dyn Workload, cfg: OptConfig, spec: &MachineSpec) -> PreparedVersion {

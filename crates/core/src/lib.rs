@@ -29,6 +29,9 @@
 //!   panic-isolated, cooperatively cancellable, warm-startable;
 //! * [`checkpoint`] — serializable tuner state for kill/resume;
 //! * [`harness`] — simulated application runs with version swapping;
+//! * [`tier`], [`version_cache`] — each version built once for its
+//!   execution tier (lowered to threaded code by default) and shared
+//!   process-wide;
 //! * [`stats`], [`linreg`] — EVAL/VAR windows, outlier elimination, least
 //!   squares;
 //! * [`ts_select`] — profile-driven tuning-section selection (§4.1).
@@ -83,5 +86,5 @@ pub use strategy::{
     SplitMix64, StrategyKind,
 };
 pub use tuner::{production_time, tune, TuneOptions, TuneReport, Tuner};
-pub use tier::{jit_backend, register_jit_metrics};
+pub use tier::{build_engine, register_jit_metrics};
 pub use version_cache::{CacheStats, VersionCache, VersionKey};

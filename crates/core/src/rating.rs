@@ -15,7 +15,7 @@ use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{
-    ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, PreparedVersion, SimMetrics,
+    ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, SimMetrics, TierBackend,
 };
 use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
@@ -177,7 +177,7 @@ impl<'w> TuningSetup<'w> {
                 (key, compile)
             })
             .collect();
-        VersionCache::global().warm(&self.pool, &self.spec, requests);
+        VersionCache::global().warm(&self.pool, &self.spec, &self.tracer, requests);
     }
 
     /// Install (or clear) a fault scenario: every subsequent run gets a
@@ -250,13 +250,13 @@ impl<'w> TuningSetup<'w> {
     /// selects the MBR-instrumented TS as the source. Hits in the
     /// [`VersionCache`] are shared across setups, search rounds, rating
     /// retries, the degradation cascade, and checkpoint resume.
-    pub fn version(&mut self, cfg: OptConfig, instrumented: bool) -> Arc<PreparedVersion> {
+    pub fn version(&mut self, cfg: OptConfig, instrumented: bool) -> Arc<dyn TierBackend> {
         let key = if instrumented {
             VersionKey::instrumented(self.workload, cfg, self.spec.kind)
         } else {
             VersionKey::plain(self.workload, cfg, self.spec.kind)
         };
-        VersionCache::global().get_or_prepare(key, &self.spec, || {
+        VersionCache::global().get_or_prepare(key, &self.spec, &self.tracer, || {
             let (prog, ts) = if instrumented {
                 let m = self.consult.mbr.as_ref().expect("instrumented version needs MBR model");
                 (&m.instrumented, m.ts)
@@ -277,10 +277,7 @@ impl<'w> TuningSetup<'w> {
         self.next_seed += 1;
         let faults =
             self.fault_config.as_ref().map(|c| FaultPlan::new(c.clone(), self.next_seed));
-        let mut h =
-            RunHarness::with_faults(self.workload, self.ds, &self.spec, self.next_seed, faults);
-        h.set_tracer(self.tracer.clone());
-        h
+        RunHarness::with_faults(self.workload, self.ds, &self.spec, self.next_seed, faults)
     }
 
     /// Account a finished (or abandoned) run's cycles; when a tracer is
@@ -489,7 +486,7 @@ fn rate_cbr(
     let mut all: Vec<OptConfig> = vec![base];
     all.extend_from_slice(candidates);
     let mut windows: Vec<Window> = (0..all.len()).map(|_| Window::with(wmin, wmax, thr)).collect();
-    let versions: Vec<Arc<PreparedVersion>> =
+    let versions: Vec<Arc<dyn TierBackend>> =
         all.iter().map(|c| setup.version(*c, false)).collect();
     let opts = ExecOptions::default();
     let mut dropouts = 0u64;
@@ -515,7 +512,7 @@ fn rate_cbr(
             if !matches {
                 // Off-context invocation: run the base version to keep the
                 // program advancing; its timing is not comparable.
-                match h.try_execute(&versions[0], &args, &opts) {
+                match h.try_execute(&*versions[0], &args, &opts) {
                     Ok(_) => {}
                     Err(ExecError::InjectedCrash { .. }) => {
                         crashes += 1;
@@ -536,7 +533,7 @@ fn rate_cbr(
                 setup.absorb_run(&h);
                 break 'runs;
             };
-            match h.try_execute_timed(&versions[i], &args, &opts) {
+            match h.try_execute_timed(&*versions[i], &args, &opts) {
                 Ok((Some(measured), _)) => windows[i].push(measured as f64),
                 Ok((None, _)) => dropouts += 1,
                 Err(ExecError::InjectedCrash { .. }) => {
@@ -606,7 +603,7 @@ fn rate_mbr(
     let max_rows = scaled(MBR_MAX_ROWS, ropts.window_scale);
     let mut all: Vec<OptConfig> = vec![base];
     all.extend_from_slice(candidates);
-    let versions: Vec<Arc<PreparedVersion>> =
+    let versions: Vec<Arc<dyn TierBackend>> =
         all.iter().map(|c| setup.version(*c, true)).collect();
     let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
     let mut times: Vec<Vec<f64>> = vec![Vec::new(); all.len()];
@@ -642,7 +639,7 @@ fn rate_mbr(
                 setup.absorb_run(&h);
                 break 'runs;
             };
-            match h.try_execute_timed(&versions[i], &args, &opts) {
+            match h.try_execute_timed(&*versions[i], &args, &opts) {
                 Ok((Some(measured), res)) => {
                     times[i].push(measured as f64);
                     counts[i].push(model.count_row(&args, &res.counters));
@@ -752,7 +749,7 @@ fn rate_rbr(
 ) -> RateOutcome {
     let plan = setup.consult.rbr.clone();
     let base_v = setup.version(base, false);
-    let cand_vs: Vec<Arc<PreparedVersion>> =
+    let cand_vs: Vec<Arc<dyn TierBackend>> =
         candidates.iter().map(|c| setup.version(*c, false)).collect();
     let (wmin, wmax, thr) = RBR_WINDOW;
     let wmax = scaled(wmax, ropts.window_scale);
@@ -778,9 +775,9 @@ fn rate_rbr(
                 break 'runs;
             };
             let r = if improved {
-                rbr_improved_sample(&mut h, &plan, &base_v, &cand_vs[i], &args, flip, &opts_plain, &opts_record)
+                rbr_improved_sample(&mut h, &plan, &*base_v, &*cand_vs[i], &args, flip, &opts_plain, &opts_record)
             } else {
-                rbr_basic_sample(&mut h, &plan, &base_v, &cand_vs[i], &args, &opts_plain)
+                rbr_basic_sample(&mut h, &plan, &*base_v, &*cand_vs[i], &args, &opts_plain)
             };
             flip = !flip;
             match r {
@@ -838,8 +835,8 @@ fn rate_rbr(
 fn rbr_improved_sample(
     h: &mut RunHarness<'_>,
     plan: &crate::consultant::RbrPlan,
-    base: &PreparedVersion,
-    cand: &PreparedVersion,
+    base: &dyn TierBackend,
+    cand: &dyn TierBackend,
     args: &[peak_ir::Value],
     flip: bool,
     opts_plain: &ExecOptions,
@@ -884,8 +881,8 @@ fn rbr_improved_sample(
 fn rbr_basic_sample(
     h: &mut RunHarness<'_>,
     plan: &crate::consultant::RbrPlan,
-    base: &PreparedVersion,
-    cand: &PreparedVersion,
+    base: &dyn TierBackend,
+    cand: &dyn TierBackend,
     args: &[peak_ir::Value],
     opts: &ExecOptions,
 ) -> Result<Option<f64>, ExecError> {
@@ -935,7 +932,7 @@ fn rate_whl(setup: &mut TuningSetup<'_>, base: OptConfig, candidates: &[OptConfi
         let mut h = setup.new_run();
         while let Some(args) = h.next_args() {
             setup.invocations_used += 1;
-            match h.try_execute(&v, &args, &opts) {
+            match h.try_execute(&*v, &args, &opts) {
                 Ok(_) => {}
                 Err(ExecError::InjectedCrash { .. }) => {
                     // Best-effort terminal method: score the partial run.

@@ -1,25 +1,23 @@
-//! Execution-tier glue: lazily lowers prepared versions with
-//! `peak-jit`, remembers per-version refusals, and counts tier
-//! telemetry in the global metrics registry.
+//! Execution-tier glue: builds the engine a version runs on and counts
+//! tier telemetry in the global metrics registry.
 //!
-//! The harness asks [`jit_backend`] for a version's native backend on
-//! every jit-tier invocation; the underlying
-//! [`PreparedVersion::native_backend`] slot makes that a one-time
-//! lowering per version (shared process-wide through the version
-//! cache), with a remembered `None` for versions that declined — the
-//! permanent per-version fallback the tier ladder promises. Declines
-//! emit a `jit.deopt` trace event and bump `core.jit.deopts`; the
-//! metric names are:
+//! [`build_engine`] is the one place a tier is chosen. The version cache
+//! calls it once per version, when the entry is built: a jit-tier
+//! version is lowered there and only the lowered code is kept; a version
+//! whose lowering declines keeps its predecoded engine for good (the
+//! per-version fallback the tier ladder promises), emits one `jit.deopt`
+//! trace event and bumps `core.jit.deopts`. The run harness just
+//! executes whatever engine it is handed. The metric names are:
 //!
 //! * `core.jit.blocks_compiled` — basic blocks lowered to threaded code
 //! * `core.jit.deopts` — versions that declined lowering (fell back)
 //! * `core.jit.tier_invocations.{interp,predecoded,jit}` — invocations
-//!   executed per tier (the predecoded count includes jit-tier
+//!   executed per engine (the predecoded count includes jit-tier
 //!   fallback executions)
 
 use peak_obs::metrics::{self, Counter, MetricsRegistry};
 use peak_obs::Tracer;
-use peak_sim::{ExecTier, PreparedVersion, TierBackend};
+use peak_sim::{ExecTier, InterpVersion, PreparedVersion, TierBackend};
 use peak_util::Json;
 use std::sync::{Arc, OnceLock};
 
@@ -30,14 +28,15 @@ macro_rules! cached_counter {
     }};
 }
 
-/// Count one executed invocation against the tier that actually ran it
-/// (hot path: one relaxed flag load, then a cached-handle `fetch_add`).
+/// Count one executed invocation against the tier of the engine that
+/// ran it (hot path: one relaxed flag load, then a cached-handle
+/// `fetch_add`).
 #[inline]
-pub(crate) fn count_tier(tier: ExecTier) {
+pub(crate) fn count_tier(engine: &dyn TierBackend) {
     if !metrics::enabled() {
         return;
     }
-    match tier {
+    match engine.tier() {
         ExecTier::Interp => cached_counter!(
             "core.jit.tier_invocations.interp",
             "TS invocations executed by the slow interpreter tier"
@@ -74,17 +73,16 @@ pub fn register_jit_metrics() {
     cached_counter!("core.jit.deopts", "Versions that declined jit lowering (fell back)");
 }
 
-/// The version's native backend, lowering it on first request (budget
-/// from `PEAK_JIT_MAX_STMTS`). `None` = this version declined and
-/// permanently runs on the predecoded tier; the refusal is remembered,
-/// counted once in `core.jit.deopts`, and traced once as `jit.deopt`.
-pub fn jit_backend<'a>(
-    pv: &'a PreparedVersion,
-    tracer: &Tracer,
-) -> Option<&'a Arc<dyn TierBackend>> {
-    pv.native_backend(|pv| {
-        let opts = peak_jit::JitOptions::from_env();
-        match peak_jit::lower(pv, &opts) {
+/// Build the engine `tier` runs `pv` on. For [`ExecTier::Jit`] the
+/// version is lowered (budget from `PEAK_JIT_MAX_STMTS`) and `pv` is
+/// dropped, so the engine holds only the lowered code; when lowering
+/// declines, `pv` itself is the engine, and the refusal is counted in
+/// `core.jit.deopts` and traced as one `jit.deopt` event on `tracer`.
+pub fn build_engine(pv: PreparedVersion, tier: ExecTier, tracer: &Tracer) -> Arc<dyn TierBackend> {
+    match tier {
+        ExecTier::Interp => Arc::new(InterpVersion(pv)),
+        ExecTier::Predecoded => Arc::new(pv),
+        ExecTier::Jit => match peak_jit::lower(&pv, &peak_jit::JitOptions::from_env()) {
             Ok(jv) => {
                 if metrics::enabled() {
                     cached_counter!(
@@ -93,7 +91,7 @@ pub fn jit_backend<'a>(
                     )
                     .add(jv.blocks() as u64);
                 }
-                Some(Arc::new(jv) as Arc<dyn TierBackend>)
+                Arc::new(jv)
             }
             Err(reason) => {
                 if metrics::enabled() {
@@ -109,10 +107,10 @@ pub fn jit_backend<'a>(
                         vec![("reason".to_owned(), Json::Str(reason.to_string()))],
                     );
                 }
-                None
+                Arc::new(pv)
             }
-        }
-    })
+        },
+    }
 }
 
 #[cfg(test)]
@@ -123,13 +121,16 @@ mod tests {
     use peak_workloads::Workload;
 
     #[test]
-    fn backend_lowers_once_and_is_shared() {
+    fn each_tier_builds_its_own_engine() {
         let w = peak_workloads::swim::SwimCalc3::new();
         let cv = peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3());
         let pv = PreparedVersion::prepare(cv, &MachineSpec::sparc_ii());
         let t = Tracer::disabled();
-        let a = jit_backend(&pv, &t).expect("swim lowers") as *const _;
-        let b = jit_backend(&pv, &t).expect("swim lowers") as *const _;
-        assert_eq!(a, b, "same artifact returned on every request");
+        for tier in ExecTier::ALL {
+            let engine = build_engine(pv.clone(), tier, &t);
+            assert_eq!(engine.tier(), tier, "swim lowers under the default budget");
+            // Only the lowered engine drops the interpretive body.
+            assert_eq!(engine.prepared().is_none(), tier == ExecTier::Jit);
+        }
     }
 }

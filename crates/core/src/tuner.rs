@@ -77,7 +77,7 @@ pub fn production_time(
     let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
     let opts = ExecOptions::default();
     while let Some(args) = h.next_args() {
-        let _ = h.execute(&pv, &args, &opts);
+        let _ = h.execute(&*pv, &args, &opts);
     }
     h.cycles()
 }

@@ -1,45 +1,62 @@
-//! Process-wide compile/prepare cache for tuning-section versions.
+//! Process-wide compile/prepare/lower cache for tuning-section versions.
 //!
 //! Every layer of the tuning pipeline — rating calls, the checkpointed
 //! [`Tuner`](crate::Tuner), the degradation cascade, the consultant's MBR
-//! profile, the Table 1 collectors, production measurement — needs a
-//! [`PreparedVersion`] for some `(workload, config, machine)` triple, and
-//! until now each call site ran `peak_opt::optimize` +
-//! `PreparedVersion::prepare` from scratch. Both are pure functions of
-//! their inputs: the workload's program is a fixed artifact, the
-//! optimization pipeline is deterministic, and register allocation
-//! depends only on the machine spec. So one shared cache keyed by
-//! (workload, TS, instrumented?, config bits, machine kind) can hand out
-//! `Arc<PreparedVersion>` clones forever without changing a single
-//! simulated cycle — the "never compile the same version twice"
+//! profile, the Table 1 collectors, production measurement — needs an
+//! executable version for some `(workload, config, machine)` triple.
+//! Compiling (`peak_opt::optimize`), preparing
+//! ([`PreparedVersion::prepare`]) and lowering (`peak_jit::lower`) are
+//! pure functions of their inputs: the workload's program is a fixed
+//! artifact, the optimization pipeline is deterministic, and register
+//! allocation depends only on the machine spec. So one shared cache keyed
+//! by (workload, TS, instrumented?, config bits, machine kind, tier) can
+//! hand out `Arc<dyn TierBackend>` clones forever without changing a
+//! single simulated cycle — the "never compile the same version twice"
 //! amortization that FOGA-style flag-evaluation caches and the Collective
 //! Tuning Initiative build their tuning-time wins on.
+//!
+//! Each entry is built for its key's tier, once, by
+//! [`build_engine`](crate::build_engine): under the default jit tier the
+//! version is compiled, prepared and lowered, and only the lowered code
+//! is kept — the compiled IR and the decoded blocks are dropped. A
+//! version whose lowering declines keeps its predecoded engine. The run
+//! harness executes entries as they are; no tier decision is left for
+//! run time.
 //!
 //! The cache is process-wide ([`VersionCache::global`]) because the
 //! experiment drivers (`table1`, `figure7`) fan benchmarks out across a
 //! shared [`Pool`] and repeat configurations across cells, rating
 //! retries, the CBR→MBR→RBR→WHL cascade, and checkpoint resume.
-//! Compilation happens outside the map lock behind an **in-flight
-//! gate**: the first thread to miss a key installs a building slot and
-//! compiles; concurrent requesters of the same key block on the gate and
-//! share the one artifact, so racing workers never compile the same
-//! config twice (the `compiles` counter is exact). [`VersionCache::warm`]
-//! exposes that as a bulk pre-compilation API: the search layer hands a
-//! round's whole candidate frontier to the pool and rating then runs
-//! against a hot cache. Entries are never evicted — the whole 38-flag
-//! search space for every Table 1 workload is a few hundred small IR
-//! programs — but [`VersionCache::clear`] exists for long-lived
-//! embedders.
+//! Building happens outside the map lock behind an **in-flight gate**:
+//! the first thread to miss a key installs a building slot and builds;
+//! concurrent requesters of the same key block on the gate and share the
+//! one artifact, so racing workers never compile the same config twice
+//! (the `compiles` counter is exact). [`VersionCache::warm`] exposes
+//! that as a bulk pre-build API: the search layer hands a round's whole
+//! candidate frontier to the pool, so compiling and lowering run there
+//! and rating then runs against a hot cache.
+//!
+//! Entries are never evicted ([`VersionCache::clear`] exists for
+//! long-lived embedders), so the entries are where a tuning process's
+//! memory goes. One pass of the end-to-end benchmark builds about 6,000
+//! entries serving its search jobs and about 1,000 serving its Figure 7
+//! cells. Measured with a counting allocator (mean over -O3 and its 38
+//! single-flag removals, per benchmark and machine, 8 benchmarks × 2
+//! machines), a compiled version takes 2.4–8.3 KB, preparing adds
+//! 0.5–1.1 KB and lowering 1.2–3.7 KB. A predecoded entry keeps IR and
+//! decoded blocks (2.9–9.4 KB); a lowered entry keeps the lowered code
+//! alone (1.2–3.7 KB), where keeping all three would cost 4.1–12.5 KB.
 
 use crate::sched::Pool;
+use peak_obs::Tracer;
 use peak_opt::{CompiledVersion, OptConfig};
-use peak_sim::{ExecTier, MachineKind, MachineSpec, PreparedVersion};
+use peak_sim::{ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
 use peak_workloads::Workload;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Identity of one compiled + prepared version.
+/// Identity of one cached version, built for one execution tier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VersionKey {
     /// Benchmark name (workloads are fixed artifacts, so the name
@@ -55,13 +72,10 @@ pub struct VersionKey {
     pub config_bits: u64,
     /// Target machine (register allocation and pre-decoding depend on it).
     pub machine: MachineKind,
-    /// Execution tier the version is requested for. The prepared
-    /// artifact itself is tier-independent, but the lazily-attached
-    /// native backend (and its remembered refusal) is per-artifact
-    /// state: sharing one artifact across tiers would let a jit-tier
-    /// consumer's deopt memo leak into predecoded-tier accounting, and
-    /// tier-forced A/B drivers (`hotpath --jit`) need genuinely
-    /// independent entries.
+    /// Execution tier the version is built for: the entry is that
+    /// tier's engine (lowered code for jit, the prepared version for
+    /// predecoded, the IR walker for interp), so tier-forced A/B
+    /// drivers (`hotpath --jit`) get genuinely different entries.
     pub tier: ExecTier,
 }
 
@@ -100,9 +114,10 @@ pub struct CacheStats {
     /// Lookups that did not find a ready version (each triggers or waits
     /// for exactly one compile).
     pub misses: u64,
-    /// Compile+prepare executions actually performed. With the in-flight
-    /// gate this counts *unique work*: `misses - compiles` lookups were
-    /// coalesced onto a concurrent compile of the same key.
+    /// Builds (compile, prepare and, for jit keys, lower) actually
+    /// performed. With the in-flight gate this counts *unique work*:
+    /// `misses - compiles` lookups were coalesced onto a concurrent
+    /// build of the same key.
     pub compiles: u64,
     /// Missing lookups that blocked on another thread's in-flight
     /// compile instead of compiling themselves.
@@ -155,12 +170,12 @@ struct Gate {
 
 enum GateState {
     Pending,
-    Ready(Arc<PreparedVersion>),
+    Ready(Arc<dyn TierBackend>),
     Failed,
 }
 
 enum Slot {
-    Ready(Arc<PreparedVersion>),
+    Ready(Arc<dyn TierBackend>),
     Building(Arc<Gate>),
 }
 
@@ -184,8 +199,9 @@ impl Drop for BuildGuard<'_> {
     }
 }
 
-/// A compile/prepare cache: `VersionKey` → `Arc<PreparedVersion>`, with
-/// in-flight de-duplication of concurrent compiles.
+/// A version cache: `VersionKey` → `Arc<dyn TierBackend>` (the engine
+/// of the key's tier), with in-flight de-duplication of concurrent
+/// builds.
 #[derive(Default)]
 pub struct VersionCache {
     map: Mutex<HashMap<VersionKey, Slot>>,
@@ -214,23 +230,27 @@ impl VersionCache {
         GLOBAL.get_or_init(VersionCache::new)
     }
 
-    /// Return the prepared version for `key`, compiling it with `compile`
-    /// and [`PreparedVersion::prepare`] on first use. `spec.kind` must
-    /// match `key.machine` — the prepared artifact is machine-specific.
+    /// Return the engine for `key`, building it on first use: `compile`,
+    /// then [`PreparedVersion::prepare`], then
+    /// [`build_engine`](crate::build_engine) for `key.tier` (which
+    /// lowers a jit key and traces a declined lowering on `tracer`).
+    /// `spec.kind` must match `key.machine` — the artifact is
+    /// machine-specific.
     ///
-    /// Concurrent calls with the same key compile **once**: the first
-    /// requester compiles outside the map lock while later ones wait on
+    /// Concurrent calls with the same key build **once**: the first
+    /// requester builds outside the map lock while later ones wait on
     /// the in-flight gate and share the artifact.
     pub fn get_or_prepare(
         &self,
         key: VersionKey,
         spec: &MachineSpec,
+        tracer: &Tracer,
         compile: impl FnOnce() -> CompiledVersion,
-    ) -> Arc<PreparedVersion> {
+    ) -> Arc<dyn TierBackend> {
         debug_assert_eq!(spec.kind, key.machine, "key/spec machine mismatch");
         let mut compile = Some(compile);
         loop {
-            let found: Option<Result<Arc<PreparedVersion>, Arc<Gate>>> = {
+            let found: Option<Result<Arc<dyn TierBackend>, Arc<Gate>>> = {
                 let mut map = self.map.lock().expect("version cache lock");
                 let probe = match map.get(&key) {
                     Some(Slot::Ready(v)) => Some(Ok(v.clone())),
@@ -245,7 +265,13 @@ impl VersionCache {
                     map.insert(key.clone(), Slot::Building(gate.clone()));
                     drop(map);
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.build(key, spec, gate, compile.take().expect("compile fn"));
+                    return self.build(
+                        key,
+                        spec,
+                        tracer,
+                        gate,
+                        compile.take().expect("compile fn"),
+                    );
                 }
                 probe
             };
@@ -276,45 +302,54 @@ impl VersionCache {
         &self,
         key: VersionKey,
         spec: &MachineSpec,
+        tracer: &Tracer,
         gate: Arc<Gate>,
         compile: impl FnOnce() -> CompiledVersion,
-    ) -> Arc<PreparedVersion> {
+    ) -> Arc<dyn TierBackend> {
         let mut guard = BuildGuard { cache: self, key, gate, done: false };
-        // Compile outside the map lock: compilation dominates, and the
+        // Build outside the map lock: compilation dominates, and the
         // building slot keeps racing requesters parked on the gate.
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let pv = Arc::new(PreparedVersion::prepare(compile(), spec));
+        let pv = PreparedVersion::prepare(compile(), spec);
+        let engine = crate::tier::build_engine(pv, guard.key.tier, tracer);
         self.map
             .lock()
             .expect("version cache lock")
-            .insert(guard.key.clone(), Slot::Ready(pv.clone()));
-        *guard.gate.state.lock().expect("gate lock") = GateState::Ready(pv.clone());
+            .insert(guard.key.clone(), Slot::Ready(engine.clone()));
+        *guard.gate.state.lock().expect("gate lock") = GateState::Ready(engine.clone());
         guard.gate.cv.notify_all();
         guard.done = true;
-        pv
+        engine
     }
 
-    /// Shorthand: compile (or fetch) the plain TS of `workload` under
-    /// `cfg` for `spec`.
+    /// Shorthand: build (or fetch) the plain TS of `workload` under
+    /// `cfg` for `spec`, on the process default tier (untraced).
     pub fn prepare_workload(
         &self,
         workload: &dyn Workload,
         spec: &MachineSpec,
         cfg: OptConfig,
-    ) -> Arc<PreparedVersion> {
-        self.get_or_prepare(VersionKey::plain(workload, cfg, spec.kind), spec, || {
+    ) -> Arc<dyn TierBackend> {
+        let key = VersionKey::plain(workload, cfg, spec.kind);
+        self.get_or_prepare(key, spec, &Tracer::disabled(), || {
             crate::compile::compile_validated(workload.program(), workload.ts(), &cfg)
         })
     }
 
-    /// Bulk pre-compilation: push every `(key, compile)` request through
-    /// the cache on `pool`, in parallel. Purely a warm-up — results land
-    /// in the cache (shared, deduplicated in flight) and later
+    /// Bulk pre-build: push every `(key, compile)` request through the
+    /// cache on `pool`, in parallel, so compiling, preparing and lowering
+    /// all run on the pool. Purely a warm-up — results land in the cache
+    /// (shared, deduplicated in flight) and later
     /// [`VersionCache::get_or_prepare`] calls hit. Safe to call with
     /// keys that are already cached (they count as hits and cost one map
     /// probe).
-    pub fn warm<F>(&self, pool: &Pool, spec: &MachineSpec, requests: Vec<(VersionKey, F)>)
-    where
+    pub fn warm<F>(
+        &self,
+        pool: &Pool,
+        spec: &MachineSpec,
+        tracer: &Tracer,
+        requests: Vec<(VersionKey, F)>,
+    ) where
         F: FnOnce() -> CompiledVersion + Send,
     {
         let slots: Vec<Mutex<Option<(VersionKey, F)>>> =
@@ -322,7 +357,7 @@ impl VersionCache {
         pool.map(slots.len(), |i| {
             let (key, compile) =
                 slots[i].lock().expect("warm slot").take().expect("warm request taken once");
-            let _ = self.get_or_prepare(key, spec, compile);
+            let _ = self.get_or_prepare(key, spec, tracer, compile);
         });
     }
 
@@ -368,22 +403,40 @@ impl VersionCache {
             c.add(now.saturating_sub(c.get()));
         };
         sync("core.version_cache.hits", "Version-cache lookups served from cache", s.hits);
-        sync("core.version_cache.misses", "Version-cache lookups that compiled or waited", s.misses);
-        sync("core.version_cache.compiles", "Unique compile+prepare executions", s.compiles);
+        sync(
+            "core.version_cache.misses",
+            "Version-cache lookups that compiled or waited",
+            s.misses,
+        );
+        sync(
+            "core.version_cache.compiles",
+            "Unique version builds (compile, prepare, lower)",
+            s.compiles,
+        );
         sync(
             "core.version_cache.coalesced",
             "Missing lookups coalesced onto an in-flight compile",
             s.coalesced,
         );
-        r.gauge("core.version_cache.entries", "Prepared versions currently cached")
-            .set(self.len() as i64);
+        r.gauge("core.version_cache.entries", "Versions currently cached").set(self.len() as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::RunHarness;
+    use peak_sim::{ExecOptions, SimMetrics};
     use peak_workloads::swim::SwimCalc3;
+    use peak_workloads::Dataset;
+
+    fn key(w: &dyn Workload, cfg: OptConfig, tier: ExecTier) -> VersionKey {
+        VersionKey::plain(w, cfg, MachineKind::SparcII).with_tier(tier)
+    }
+
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
 
     #[test]
     fn second_lookup_hits_and_shares() {
@@ -417,13 +470,10 @@ mod tests {
         );
     }
 
-    /// Regression: keys must separate execution tiers — the native
-    /// backend (and its remembered refusal) is per-artifact state, so a
-    /// jit-tier consumer must not share an artifact with a
-    /// predecoded-tier one.
+    /// Keys must separate execution tiers: each tier builds a different
+    /// engine for the same config.
     #[test]
     fn keys_separate_execution_tier() {
-        use peak_sim::ExecTier;
         let base = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
         let jit = base.clone().with_tier(ExecTier::Jit);
         let interp = base.clone().with_tier(ExecTier::Interp);
@@ -436,30 +486,105 @@ mod tests {
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
         for tier in ExecTier::ALL {
-            let key = VersionKey::plain(&w, OptConfig::o3(), spec.kind).with_tier(tier);
-            let _ = cache.get_or_prepare(key, &spec, || {
-                peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3())
-            });
+            let engine =
+                cache.get_or_prepare(key(&w, OptConfig::o3(), tier), &spec, &untraced(), || {
+                    peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3())
+                });
+            assert_eq!(engine.tier(), tier, "entry is the engine of its key's tier");
         }
         assert_eq!(cache.len(), 3, "one entry per tier");
         assert_eq!(cache.stats().compiles, 3);
     }
 
+    /// A jit-tier entry is lowered when it is built, by `get_or_prepare`
+    /// and by `warm` alike, and keeps no interpretive body.
+    #[test]
+    fn jit_entries_are_lowered_at_build() {
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let spec = MachineSpec::sparc_ii();
+        let (prog, ts, o0) = (w.program(), w.ts(), OptConfig::o0());
+        let got = cache.get_or_prepare(
+            key(&w, OptConfig::o3(), ExecTier::Jit),
+            &spec,
+            &untraced(),
+            || peak_opt::optimize(prog, ts, &OptConfig::o3()),
+        );
+        let requests =
+            vec![(key(&w, o0, ExecTier::Jit), move || peak_opt::optimize(prog, ts, &o0))];
+        cache.warm(&Pool::with_threads(2), &spec, &untraced(), requests);
+        let warmed = cache.get_or_prepare(key(&w, o0, ExecTier::Jit), &spec, &untraced(), || {
+            unreachable!("a warmed key hits")
+        });
+        for engine in [got, warmed] {
+            assert_eq!(engine.tier(), ExecTier::Jit);
+            assert!(engine.prepared().is_none(), "a lowered entry keeps no prepared body");
+        }
+    }
+
+    /// Field equality with a fresh compile on the predecoded-tier entry
+    /// (the tier that keeps its prepared body); cycle and return
+    /// equality on the default-tier entry.
     #[test]
     fn cached_version_matches_fresh_compile() {
         let cache = VersionCache::new();
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
-        let cached = cache.prepare_workload(&w, &spec, OptConfig::o3());
         let fresh = PreparedVersion::prepare(
             peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
             &spec,
         );
+        let pre = cache.get_or_prepare(
+            key(&w, OptConfig::o3(), ExecTier::Predecoded),
+            &spec,
+            &untraced(),
+            || crate::compile::compile_validated(w.program(), w.ts(), &OptConfig::o3()),
+        );
+        let cached = pre.prepared().expect("a predecoded entry keeps its prepared version");
         assert_eq!(cached.version.code_size, fresh.version.code_size);
         assert_eq!(cached.spill_slot, fresh.spill_slot);
         assert_eq!(cached.slot_base, fresh.slot_base);
         assert_eq!(cached.live_across_calls, fresh.live_across_calls);
         assert_eq!(cached.over_icache, fresh.over_icache);
+
+        let default = cache.prepare_workload(&w, &spec, OptConfig::o3());
+        let first_invocation = |engine: &dyn TierBackend| {
+            let mut h = RunHarness::new(&w, Dataset::Train, &spec, 3);
+            let args = h.next_args().expect("an invocation");
+            let r = h.execute(engine, &args, &ExecOptions::default());
+            (r.true_cycles, r.ret)
+        };
+        assert_eq!(first_invocation(default.as_ref()), first_invocation(&fresh));
+    }
+
+    /// The predecoded and jit entries of one config are the same version:
+    /// identical per-invocation results and machine state over a whole
+    /// train run.
+    #[test]
+    fn predecoded_and_jit_entries_agree_over_a_train_run() {
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let spec = MachineSpec::sparc_ii();
+        let cfg = OptConfig::o3().without(peak_opt::Flag::LoopUnroll);
+        let train_run = |tier: ExecTier| {
+            let engine = cache.get_or_prepare(key(&w, cfg, tier), &spec, &untraced(), || {
+                peak_opt::optimize(w.program(), w.ts(), &cfg)
+            });
+            assert_eq!(engine.tier(), tier);
+            let mut h = RunHarness::new(&w, Dataset::Train, &spec, 5);
+            let mut results = Vec::new();
+            while let Some(args) = h.next_args() {
+                let r = h.execute(engine.as_ref(), &args, &ExecOptions::default());
+                results.push((r.true_cycles, r.ret));
+            }
+            (results, SimMetrics::snapshot(&h.machine), h.mem.clone())
+        };
+        let (pre, pre_state, pre_mem) = train_run(ExecTier::Predecoded);
+        let (jit, jit_state, jit_mem) = train_run(ExecTier::Jit);
+        assert_eq!(pre.len(), w.invocations(Dataset::Train));
+        assert_eq!(pre, jit, "per-invocation cycles and returns");
+        assert_eq!(pre_state, jit_state, "machine state");
+        assert!(pre_mem == jit_mem, "memory");
     }
 
     /// Satellite of the scheduler work: under real thread contention,
@@ -526,7 +651,7 @@ mod tests {
                 (key, move || peak_opt::optimize(prog, ts, &cfg))
             })
             .collect();
-        cache.warm(&pool, &spec, requests);
+        cache.warm(&pool, &spec, &untraced(), requests);
         let s = cache.stats();
         assert_eq!(s.compiles, 2, "duplicate key compiles once: {s:?}");
         assert_eq!(cache.len(), 2);
@@ -548,15 +673,15 @@ mod tests {
         let k2 = key.clone();
         let s2 = spec.clone();
         let panicked = std::thread::spawn(move || {
-            let _ = c2.get_or_prepare(k2, &s2, || panic!("injected compile failure"));
+            let _ = c2.get_or_prepare(k2, &s2, &untraced(), || panic!("injected compile failure"));
         })
         .join();
         assert!(panicked.is_err(), "builder thread must have panicked");
         // …and the key is usable again: the next lookup compiles fresh.
-        let v = cache.get_or_prepare(key, &spec, || {
+        let v = cache.get_or_prepare(key.clone(), &spec, &untraced(), || {
             peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3())
         });
         assert_eq!(cache.len(), 1);
-        assert!(v.version.code_size > 0);
+        assert_eq!(v.tier(), key.tier, "the retried build produced the key's engine");
     }
 }

@@ -15,10 +15,11 @@
 //!   passfuzz regression corpus and fresh generative programs.
 
 use peak_core::RunHarness;
+use peak_jit::JitOptions;
 use peak_obs::Tracer;
 use peak_opt::OptConfig;
 use peak_sim::{
-    AddressMap, ExecOptions, ExecTier, MachineSpec, MachineState, PreparedVersion,
+    AddressMap, ExecOptions, ExecTier, MachineSpec, MachineState, PreparedVersion, TierBackend,
 };
 use peak_workloads::{all_workloads, fuzzgen, Dataset, Workload};
 use std::collections::HashMap;
@@ -127,16 +128,15 @@ fn parse_entry(path: &Path) -> Entry {
     Entry { name, prog, func, cfg: OptConfig::from_bits(bits), machine, args }
 }
 
-/// Execute `pv` `reps` times against ONE carried machine state on the
-/// given tier; returns per-invocation cycles plus final predictor
-/// stats. Carried state matters: batching must stay exact while the
-/// predictor table warms across invocations.
+/// Execute `engine` `reps` times against ONE carried machine state;
+/// returns per-invocation cycles plus final predictor stats. Carried
+/// state matters: batching must stay exact while the predictor table
+/// warms across invocations.
 fn run_carried(
-    pv: &PreparedVersion,
+    engine: &dyn TierBackend,
     prog: &peak_ir::Program,
     machine: &MachineSpec,
     args: &[peak_ir::Value],
-    jit: bool,
     reps: usize,
 ) -> (Vec<u64>, (u64, u64)) {
     let mem_lens: Vec<usize> = prog.mems.iter().map(|m| m.len).collect();
@@ -147,16 +147,9 @@ fn run_carried(
     let mut cycles = Vec::with_capacity(reps);
     for _ in 0..reps {
         let mut mem = fuzzgen::init_memory(prog);
-        let res = if jit {
-            let be =
-                peak_core::jit_backend(pv, &Tracer::disabled()).expect("entry lowers");
-            be.execute(args, &mut mem, &amap, &mut state, &opts, &mut scratch)
-        } else {
-            peak_sim::execute_with_scratch(
-                pv, args, &mut mem, &amap, &mut state, &opts, &mut scratch,
-            )
-        }
-        .expect("execution succeeds");
+        let res = engine
+            .execute(args, &mut mem, &amap, &mut state, &opts, &mut scratch)
+            .expect("execution succeeds");
         cycles.push(res.true_cycles);
     }
     (cycles, state.predictor.stats())
@@ -177,10 +170,9 @@ fn batched_predictor_matches_sequential_on_corpus() {
         let e = parse_entry(p);
         let cv = peak_opt::optimize(&e.prog, e.func, &e.cfg);
         let pv = PreparedVersion::prepare(cv, &e.machine);
-        let (pre_cycles, pre_stats) =
-            run_carried(&pv, &e.prog, &e.machine, &e.args, false, 5);
-        let (jit_cycles, jit_stats) =
-            run_carried(&pv, &e.prog, &e.machine, &e.args, true, 5);
+        let jv = peak_jit::lower(&pv, &JitOptions::from_env()).expect("entry lowers");
+        let (pre_cycles, pre_stats) = run_carried(&pv, &e.prog, &e.machine, &e.args, 5);
+        let (jit_cycles, jit_stats) = run_carried(&jv, &e.prog, &e.machine, &e.args, 5);
         assert_eq!(pre_cycles, jit_cycles, "{}: per-invocation cycles", e.name);
         assert_eq!(pre_stats, jit_stats, "{}: predictor stats", e.name);
     }
@@ -202,33 +194,34 @@ fn batched_predictor_matches_sequential_on_fresh_seeds() {
         let machine = &machines[(seed % 2) as usize];
         let cv = peak_opt::optimize(&prog, func, &OptConfig::o3());
         let pv = PreparedVersion::prepare(cv, machine);
-        if peak_core::jit_backend(&pv, &Tracer::disabled()).is_none() {
+        let Ok(jv) = peak_jit::lower(&pv, &JitOptions::from_env()) else {
             continue; // version declined lowering; nothing to compare
-        }
-        let (pre_cycles, pre_stats) = run_carried(&pv, &prog, machine, &args, false, 3);
-        let (jit_cycles, jit_stats) = run_carried(&pv, &prog, machine, &args, true, 3);
+        };
+        let (pre_cycles, pre_stats) = run_carried(&pv, &prog, machine, &args, 3);
+        let (jit_cycles, jit_stats) = run_carried(&jv, &prog, machine, &args, 3);
         assert_eq!(pre_cycles, jit_cycles, "seed {seed}: cycles");
         assert_eq!(pre_stats, jit_stats, "seed {seed}: predictor stats");
     }
 }
 
-/// Forcing the tiers through `RunHarness` (the production path) with
-/// memoized streams on: all three tiers produce identical cycles and
-/// predictor evolution on a real workload.
+/// Each tier's engine run through `RunHarness` (the production path)
+/// with memoized streams on: all three tiers produce identical cycles
+/// and predictor evolution on a real workload.
 #[test]
 fn tiers_agree_under_memoized_streams() {
     let w = peak_workloads::swim::SwimCalc3::new();
     let spec = MachineSpec::sparc_ii();
     let pv = prepare(&w, &spec);
     let mut per_tier = Vec::new();
-    for tier in [ExecTier::Interp, ExecTier::Predecoded, ExecTier::Jit] {
+    for tier in ExecTier::ALL {
+        let engine = peak_core::build_engine(pv.clone(), tier, &Tracer::disabled());
+        assert_eq!(engine.tier(), tier);
         let mut h =
             RunHarness::with_stream_mode(&w, Dataset::Train, &spec, 7, None, true);
-        h.set_tier(tier);
         let mut cycles = Vec::new();
         for _ in 0..6 {
             let args = h.next_args().unwrap();
-            let r = h.execute(&pv, &args, &ExecOptions::default());
+            let r = h.execute(&*engine, &args, &ExecOptions::default());
             cycles.push(r.true_cycles);
         }
         per_tier.push((cycles, h.machine.predictor.stats(), h.cycles()));

@@ -8,7 +8,7 @@
 //! 1. **The predecoded cycle golden** — the exact same 42-scenario
 //!    golden that gates the predecoded executor
 //!    (`tests/goldens/exec_cycles.json`) must reproduce byte-for-byte
-//!    with the harness forced to the jit tier. One golden, every tier.
+//!    with the harness running lowered code. One golden, every tier.
 //! 2. **The passfuzz regression corpus** — every shrunk divergence the
 //!    differential-fuzz fleet ever found (`peak-opt`'s
 //!    `tests/corpus/*.ir`) replays through the jit backend and must
@@ -18,10 +18,11 @@
 //!    compiled at O0 and O3 and compared against both oracles.
 
 use peak_core::RunHarness;
+use peak_jit::JitOptions;
 use peak_obs::Tracer;
 use peak_opt::{Flag, OptConfig};
 use peak_sim::{
-    AddressMap, ExecOptions, ExecTier, MachineSpec, MachineState, PreparedVersion,
+    AddressMap, ExecOptions, ExecTier, MachineSpec, MachineState, PreparedVersion, TierBackend,
 };
 use peak_util::Json;
 use peak_workloads::{fuzzgen, workload_by_name, Dataset, Workload};
@@ -57,8 +58,7 @@ fn prepare(w: &dyn Workload, cfg: &OptConfig, spec: &MachineSpec) -> PreparedVer
     PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), cfg), spec)
 }
 
-/// The predecoded differential's observation loop, with the harness
-/// forced to the jit tier.
+/// The predecoded differential's observation loop, on jit-tier engines.
 #[test]
 fn jit_tier_reproduces_exec_cycles_golden() {
     let text = std::fs::read_to_string(GOLDEN)
@@ -70,9 +70,13 @@ fn jit_tier_reproduces_exec_cycles_golden() {
     for w in scenario_workloads() {
         for spec in [MachineSpec::sparc_ii(), MachineSpec::pentium_iv()] {
             for (cname, cfg) in scenario_configs() {
-                let pv = prepare(w.as_ref(), &cfg, &spec);
+                let engine = peak_core::build_engine(
+                    prepare(w.as_ref(), &cfg, &spec),
+                    ExecTier::Jit,
+                    &Tracer::disabled(),
+                );
+                assert_eq!(engine.tier(), ExecTier::Jit, "scenario lowers");
                 let mut h = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 7);
-                h.set_tier(ExecTier::Jit);
                 let plain = ExecOptions::default();
                 let record = ExecOptions { record_writes: true, num_counters: 0 };
                 let mut cycles = Vec::new();
@@ -81,10 +85,10 @@ fn jit_tier_reproduces_exec_cycles_golden() {
                 for i in 0..INVOCATIONS {
                     let args = h.next_args().expect("invocation budget");
                     if i % 2 == 0 {
-                        let r = h.execute(&pv, &args, &plain);
+                        let r = h.execute(&*engine, &args, &plain);
                         cycles.push(r.true_cycles);
                     } else {
-                        let r = h.execute(&pv, &args, &record);
+                        let r = h.execute(&*engine, &args, &record);
                         recorded_cycles.push(r.true_cycles);
                         writes_len.push(r.writes.len() as u64);
                     }
@@ -183,9 +187,9 @@ fn run_once(
     let mut state = MachineState::noiseless(machine.clone());
     let opts = ExecOptions::default();
     let res = if jit {
-        let be = peak_core::jit_backend(pv, &Tracer::disabled()).expect("corpus entry lowers");
+        let jv = peak_jit::lower(pv, &JitOptions::from_env()).expect("corpus entry lowers");
         let mut scratch = peak_sim::ExecScratch::new();
-        be.execute(args, &mut mem, &amap, &mut state, &opts, &mut scratch)
+        jv.execute(args, &mut mem, &amap, &mut state, &opts, &mut scratch)
     } else {
         peak_sim::execute(pv, args, &mut mem, &amap, &mut state, &opts)
     }

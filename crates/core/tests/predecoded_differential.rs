@@ -13,6 +13,12 @@
 //!    pre-pre-decode executor; any drift means the performance model
 //!    changed, which invalidates every number in the paper tables.
 //!
+//! Every scenario runs on the engine of the process tier (`PEAK_TIER`,
+//! default jit), built the way the version cache builds it, so the
+//! suite is one golden for every engine: CI re-runs it wholesale with
+//! `PEAK_TIER=predecoded` to keep the predecoded executor — the jit
+//! tier's fallback — under the full grid.
+//!
 //! Regenerate the golden (only when the cycle model changes
 //! *intentionally*) with:
 //!
@@ -22,10 +28,12 @@
 //! ```
 
 use peak_core::RunHarness;
+use peak_obs::Tracer;
 use peak_opt::{Flag, OptConfig};
-use peak_sim::{ExecOptions, MachineKind, MachineSpec, PreparedVersion};
+use peak_sim::{ExecOptions, ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
 use peak_util::Json;
 use peak_workloads::{workload_by_name, Dataset, Workload};
+use std::sync::Arc;
 
 /// Invocations recorded per scenario (kept small: this runs under the
 /// debug profile in CI).
@@ -65,6 +73,11 @@ fn prepare(w: &dyn Workload, cfg: &OptConfig, spec: &MachineSpec) -> PreparedVer
     PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), cfg), spec)
 }
 
+/// The process tier's engine for `pv`.
+fn engine(pv: PreparedVersion) -> Arc<dyn TierBackend> {
+    peak_core::build_engine(pv, ExecTier::from_env(), &Tracer::disabled())
+}
+
 /// One scenario's observed numbers: per-invocation true cycles (with
 /// `record_writes` off and on) and the run-total cycles.
 struct Observed {
@@ -83,7 +96,7 @@ fn observe_all() -> Vec<Observed> {
     for w in scenario_workloads() {
         for spec in machines() {
             for (cname, cfg) in scenario_configs() {
-                let pv = prepare(w.as_ref(), &cfg, &spec);
+                let engine = engine(prepare(w.as_ref(), &cfg, &spec));
                 let mut h = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 7);
                 let plain = ExecOptions::default();
                 let record = ExecOptions { record_writes: true, num_counters: 0 };
@@ -95,10 +108,10 @@ fn observe_all() -> Vec<Observed> {
                     // Alternate recording so the golden pins both paths
                     // against the same cache/predictor history.
                     if i % 2 == 0 {
-                        let r = h.execute(&pv, &args, &plain);
+                        let r = h.execute(&*engine, &args, &plain);
                         cycles.push(r.true_cycles);
                     } else {
-                        let r = h.execute(&pv, &args, &record);
+                        let r = h.execute(&*engine, &args, &record);
                         recorded_cycles.push(r.true_cycles);
                         writes_len.push(r.writes.len() as u64);
                     }
@@ -198,6 +211,7 @@ fn executor_matches_reference_interpreter() {
         for (cname, cfg) in [("o3", OptConfig::o3()), ("o0", OptConfig::o0())] {
             let spec = MachineSpec::sparc_ii();
             let pv = prepare(w.as_ref(), &cfg, &spec);
+            let engine = engine(pv.clone());
             let interp = peak_ir::interp::Interp::default();
             // Two harnesses, same dataset: identical args + memory streams.
             let mut h_exec = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 1);
@@ -207,7 +221,7 @@ fn executor_matches_reference_interpreter() {
                 let args_e = h_exec.next_args().expect("budget");
                 let args_r = h_ref.next_args().expect("budget");
                 assert_eq!(args_e, args_r, "{}: invocation streams diverged", w.name());
-                let got = h_exec.execute(&pv, &args_e, &opts);
+                let got = h_exec.execute(&*engine, &args_e, &opts);
                 let want = interp
                     .run(&pv.version.program, pv.version.func, &args_r, &mut h_ref.mem)
                     .expect("reference interpreter succeeds");

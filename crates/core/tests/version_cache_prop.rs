@@ -1,15 +1,19 @@
 //! Property: a [`VersionCache`] hit is indistinguishable from a fresh
-//! compile. For random points of the 2^38 flag space, the cached
-//! `PreparedVersion` must (a) be byte-equal in every prepared field to an
-//! uncached `optimize` + `prepare` of the same inputs, and (b) execute to
-//! the same return value and the same bit-identical `true_cycles` from
+//! compile. For random points of the 2^38 flag space, (a) the cached
+//! predecoded-tier `PreparedVersion` must be byte-equal in every prepared
+//! field to an uncached `optimize` + `prepare` of the same inputs, and
+//! (b) the cached default-tier entry (lowered code) must execute to the
+//! same return value and the same bit-identical `true_cycles` from
 //! identical machine state. This is what makes the cache a pure
 //! amortization — the paper's tuning-time savings with zero effect on any
 //! rating.
 
 use peak_core::{VersionCache, VersionKey};
+use peak_obs::Tracer;
 use peak_opt::OptConfig;
-use peak_sim::{ExecOptions, MachineKind, MachineSpec, MachineState, PreparedVersion};
+use peak_sim::{
+    ExecOptions, ExecTier, MachineKind, MachineSpec, MachineState, PreparedVersion, TierBackend,
+};
 use peak_workloads::{swim::SwimCalc3, Workload};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -18,7 +22,11 @@ fn fresh(w: &dyn Workload, cfg: OptConfig, spec: &MachineSpec) -> PreparedVersio
     PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), &cfg), spec)
 }
 
-fn run_cycles(w: &dyn Workload, pv: &PreparedVersion, spec: &MachineSpec) -> (u64, Option<peak_ir::Value>) {
+fn run_cycles(
+    w: &dyn Workload,
+    engine: &dyn TierBackend,
+    spec: &MachineSpec,
+) -> (u64, Option<peak_ir::Value>) {
     let mem_lens: Vec<usize> = w.program().mems.iter().map(|m| m.len).collect();
     let amap = peak_sim::AddressMap::new(&mem_lens);
     let mut mem = peak_ir::MemoryImage::new(w.program());
@@ -26,7 +34,9 @@ fn run_cycles(w: &dyn Workload, pv: &PreparedVersion, spec: &MachineSpec) -> (u6
     w.setup(peak_workloads::Dataset::Train, &mut mem, &mut rng);
     let args = w.args(peak_workloads::Dataset::Train, 0, &mut mem, &mut rng);
     let mut state = MachineState::noiseless(spec.clone());
-    let res = peak_sim::execute(pv, &args, &mut mem, &amap, &mut state, &ExecOptions::default())
+    let mut scratch = peak_sim::ExecScratch::new();
+    let res = engine
+        .execute(&args, &mut mem, &amap, &mut state, &ExecOptions::default(), &mut scratch)
         .expect("execution succeeds");
     (res.true_cycles, res.ret)
 }
@@ -46,16 +56,23 @@ proptest! {
         let hit = cache.prepare_workload(&w, &spec, cfg);
         prop_assert!(std::sync::Arc::ptr_eq(&miss, &hit));
         prop_assert_eq!(cache.stats().hits, 1);
-        // The cached artifact equals an uncached compile field by field...
+        // The cached predecoded-tier artifact equals an uncached compile
+        // field by field...
         let direct = fresh(&w, cfg, &spec);
-        prop_assert_eq!(&hit.spill_slot, &direct.spill_slot);
-        prop_assert_eq!(&hit.slot_base, &direct.slot_base);
-        prop_assert_eq!(&hit.live_across_calls, &direct.live_across_calls);
-        prop_assert_eq!(hit.over_icache, direct.over_icache);
-        prop_assert_eq!(hit.version.code_size, direct.version.code_size);
-        prop_assert_eq!(hit.version.config.bits(), direct.version.config.bits());
-        // ...and executes bit-identically from identical cold state.
-        let (c_cached, r_cached) = run_cycles(&w, &hit, &spec);
+        let key = VersionKey::plain(&w, cfg, spec.kind).with_tier(ExecTier::Predecoded);
+        let pre = cache.get_or_prepare(key, &spec, &Tracer::disabled(), || {
+            peak_core::compile_validated(w.program(), w.ts(), &cfg)
+        });
+        let cached = pre.prepared().expect("a predecoded entry keeps its prepared version");
+        prop_assert_eq!(&cached.spill_slot, &direct.spill_slot);
+        prop_assert_eq!(&cached.slot_base, &direct.slot_base);
+        prop_assert_eq!(&cached.live_across_calls, &direct.live_across_calls);
+        prop_assert_eq!(cached.over_icache, direct.over_icache);
+        prop_assert_eq!(cached.version.code_size, direct.version.code_size);
+        prop_assert_eq!(cached.version.config.bits(), direct.version.config.bits());
+        // ...and the default-tier hit executes bit-identically from
+        // identical cold state.
+        let (c_cached, r_cached) = run_cycles(&w, &*hit, &spec);
         let (c_fresh, r_fresh) = run_cycles(&w, &direct, &spec);
         prop_assert_eq!(c_cached, c_fresh, "true_cycles must not depend on cache state");
         prop_assert_eq!(r_cached, r_fresh);

@@ -1,4 +1,4 @@
-//! # peak-jit — the threaded-code native execution tier
+//! # peak-jit — the threaded-code execution tier (the default)
 //!
 //! Lowers a [`PreparedVersion`] into **threaded code**: every basic
 //! block becomes a flat array of monomorphized op thunks (plain Rust
@@ -42,10 +42,13 @@
 //!
 //! The lowering covers the complete IR. It *declines* (returns a
 //! [`DeoptReason`]) only on resource budgets — `PEAK_JIT_MAX_STMTS`
-//! caps the lowered statement count — and the harness then permanently
-//! falls back to the predecoded tier for that version (`jit.deopt`
+//! caps the lowered statement count — and `peak-core`'s version cache
+//! then keeps the predecoded engine for that version (`jit.deopt`
 //! trace event, `core.jit.deopts` metric). Declining is always safe:
 //! tiers are execution engines, never semantics.
+//!
+//! A [`JitVersion`] is self-contained: once lowered, the version cache
+//! drops the [`PreparedVersion`] (IR and decoded blocks) it came from.
 
 #![warn(missing_docs)]
 
@@ -56,8 +59,8 @@ pub use lower::{lower, DeoptReason, JitOptions};
 
 use peak_ir::{MemoryImage, Value};
 use peak_sim::{
-    AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, MachineState, PreparedVersion,
-    TierBackend,
+    AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, ExecTier, MachineState,
+    PreparedVersion, TierBackend,
 };
 
 /// One function lowered to threaded code.
@@ -107,10 +110,10 @@ pub(crate) enum Term {
     Ret(u32),
 }
 
-/// A version lowered to threaded code: the native-tier artifact
-/// attached to a [`PreparedVersion`] and executed through
-/// [`TierBackend`]. Immutable once built; shared across harnesses via
-/// the version cache.
+/// A version lowered to threaded code, executed through
+/// [`TierBackend`]. Holds no reference to the [`PreparedVersion`] it was
+/// lowered from. Immutable once built; shared across harnesses via the
+/// version cache.
 pub struct JitVersion {
     pub(crate) funcs: Box<[JitFunc]>,
     pub(crate) entry: u32,
@@ -188,20 +191,11 @@ impl TierBackend for JitVersion {
         })
     }
 
-    fn blocks_compiled(&self) -> usize {
-        self.n_blocks
+    fn tier(&self) -> ExecTier {
+        ExecTier::Jit
     }
-}
 
-/// Lower `pv` and attach the artifact as its native backend, or record
-/// the refusal. Thin convenience over
-/// [`PreparedVersion::native_backend`] + [`lower`] for callers that do
-/// not need the deopt reason.
-pub fn backend_for<'a>(
-    pv: &'a PreparedVersion,
-    opts: &JitOptions,
-) -> Option<&'a std::sync::Arc<dyn TierBackend>> {
-    pv.native_backend(|pv| lower(pv, opts).ok().map(|jv| {
-        std::sync::Arc::new(jv) as std::sync::Arc<dyn TierBackend>
-    }))
+    fn prepared(&self) -> Option<&PreparedVersion> {
+        None
+    }
 }

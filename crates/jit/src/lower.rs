@@ -46,7 +46,7 @@ impl JitOptions {
 }
 
 /// Why a version was not lowered. Declining is always safe — the
-/// harness falls back to the predecoded tier for that version.
+/// version cache keeps the predecoded engine for that version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeoptReason {
     /// The version exceeds the lowered-statement budget.

@@ -211,36 +211,6 @@ pub struct PreparedVersion {
     pub slot_base: Vec<u32>,
     decoded: Vec<DecodedFunc>,
     params: ExecParams,
-    native: NativeSlot,
-}
-
-/// Lazily-attached native-tier artifact of a prepared version. Lowering
-/// runs at most once per version (first jit-tier invocation); `None`
-/// records a lowering refusal so the harness falls back to the
-/// predecoded tier without retrying every invocation. Clones share the
-/// already-lowered artifact (it is immutable), matching the
-/// `Arc<PreparedVersion>` sharing in the version cache.
-#[derive(Default)]
-struct NativeSlot(std::sync::OnceLock<Option<std::sync::Arc<dyn crate::tier::TierBackend>>>);
-
-impl std::fmt::Debug for NativeSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            None => f.write_str("NativeSlot(unlowered)"),
-            Some(None) => f.write_str("NativeSlot(declined)"),
-            Some(Some(b)) => write!(f, "NativeSlot({} blocks)", b.blocks_compiled()),
-        }
-    }
-}
-
-impl Clone for NativeSlot {
-    fn clone(&self) -> Self {
-        let slot = NativeSlot::default();
-        if let Some(v) = self.0.get() {
-            let _ = slot.0.set(v.clone());
-        }
-        slot
-    }
 }
 
 impl PreparedVersion {
@@ -399,7 +369,6 @@ impl PreparedVersion {
             slot_base,
             decoded,
             params,
-            native: NativeSlot::default(),
         }
     }
 
@@ -423,16 +392,28 @@ impl PreparedVersion {
     pub fn exec_params(&self) -> ExecParams {
         self.params
     }
+}
 
-    /// The native-tier backend of this version, lowering it with `lower`
-    /// on first use. `lower` returning `None` is remembered: the version
-    /// permanently executes on the fallback tier (the caller observes
-    /// the refusal — e.g. to count a deopt — because its closure ran).
-    pub fn native_backend(
+/// The predecoded tier's engine is the prepared version itself.
+impl crate::tier::TierBackend for PreparedVersion {
+    fn execute(
         &self,
-        lower: impl FnOnce(&PreparedVersion) -> Option<std::sync::Arc<dyn crate::tier::TierBackend>>,
-    ) -> Option<&std::sync::Arc<dyn crate::tier::TierBackend>> {
-        self.native.0.get_or_init(|| lower(self)).as_ref()
+        args: &[Value],
+        mem: &mut MemoryImage,
+        amap: &AddressMap,
+        state: &mut MachineState,
+        opts: &ExecOptions,
+        scratch: &mut ExecScratch,
+    ) -> Result<ExecResult, ExecError> {
+        execute_with_scratch(self, args, mem, amap, state, opts, scratch)
+    }
+
+    fn tier(&self) -> crate::tier::ExecTier {
+        crate::tier::ExecTier::Predecoded
+    }
+
+    fn prepared(&self) -> Option<&PreparedVersion> {
+        Some(self)
     }
 }
 

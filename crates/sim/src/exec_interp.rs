@@ -6,7 +6,8 @@
 //! and the machine spec. It exists as the bottom rung of the tier
 //! ladder (`interp → predecoded → jit`) so the A/B benches measure real
 //! engine deltas, and as a third independent derivation of the cost
-//! model for the differential tests.
+//! model for the differential tests. Its engine is [`InterpVersion`], a
+//! thin wrapper that runs a [`PreparedVersion`]'s IR through this walker.
 //!
 //! Cost equivalence with the pre-decoded tier is by construction:
 //! constant cycle charges commute (only their sum enters
@@ -20,15 +21,44 @@ use crate::exec::{
     call_save_cost, fault_preamble, taken_cost, ExecError, ExecOptions, ExecResult, ExecScratch,
     MachineState, PreparedVersion, RECURSION_LIMIT, STEP_LIMIT,
 };
+use crate::tier::{ExecTier, TierBackend};
 use peak_ir::ExecError as InterpError;
 use peak_ir::{MemBase, MemId, MemRef, MemoryImage, Operand, PtrVal, Rvalue, Stmt, Terminator, Value, VarId};
 use peak_opt::Flag;
+
+/// The slow tier's engine: the prepared version's IR, walked by the
+/// recompute-everything executor (only the version's IR, spill slots
+/// and call-crossing counts are read; its decoded blocks are not).
+#[derive(Debug)]
+pub struct InterpVersion(pub PreparedVersion);
+
+impl TierBackend for InterpVersion {
+    fn execute(
+        &self,
+        args: &[Value],
+        mem: &mut MemoryImage,
+        amap: &AddressMap,
+        state: &mut MachineState,
+        opts: &ExecOptions,
+        scratch: &mut ExecScratch,
+    ) -> Result<ExecResult, ExecError> {
+        execute_interp_with_scratch(&self.0, args, mem, amap, state, opts, scratch)
+    }
+
+    fn tier(&self) -> ExecTier {
+        ExecTier::Interp
+    }
+
+    fn prepared(&self) -> Option<&PreparedVersion> {
+        Some(&self.0)
+    }
+}
 
 /// Execute one invocation on the slow tier. Same contract (and same
 /// results, bit for bit) as
 /// [`execute_with_scratch`](crate::execute_with_scratch).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_interp_with_scratch(
+fn execute_interp_with_scratch(
     pv: &PreparedVersion,
     args: &[Value],
     mem: &mut MemoryImage,

@@ -11,9 +11,9 @@
 //! * [`exec`] — the executor charging op costs, cache latencies, spills,
 //!   dependence stalls, branch penalties, and I-cache pressure;
 //! * [`tier`] / [`exec_interp`] — the execution-tier ladder
-//!   (`interp → predecoded → jit`): tier selection, the pluggable
-//!   native-tier backend interface, and the recompute-everything slow
-//!   tier — all charging bit-identical cycles;
+//!   (`interp → predecoded → jit`): tier selection, the engine interface
+//!   every tier implements, and the recompute-everything slow tier — all
+//!   charging bit-identical cycles;
 //! * [`timer`] — measured-time generation with Gaussian jitter and
 //!   interrupt-like outliers (what the rating methods must survive);
 //! * [`faults`] — seeded, replayable fault injection (jitter bursts,
@@ -42,7 +42,7 @@ pub use exec::{
     ExecParams, ExecResult, ExecScratch, MachineState, PreparedVersion, SpillEv, RECURSION_LIMIT,
     STEP_LIMIT,
 };
-pub use exec_interp::execute_interp_with_scratch;
+pub use exec_interp::InterpVersion;
 pub use tier::{ExecTier, TierBackend};
 pub use faults::{FaultConfig, FaultPlan, FaultStats};
 pub use machine::{CacheParams, MachineKind, MachineSpec};

@@ -1,4 +1,4 @@
-//! Execution tiers and the pluggable native-tier backend interface.
+//! Execution tiers and the engine interface they share.
 //!
 //! The executor ladder has three rungs that all charge **bit-identical
 //! cycles** for the same invocation stream (the differential goldens in
@@ -6,20 +6,23 @@
 //!
 //! * [`ExecTier::Interp`] — the slow tier: walks the IR and recomputes
 //!   every flag-/machine-dependent cost per statement (the shape of the
-//!   executor before pre-decoding existed). Baseline for A/B benches.
-//! * [`ExecTier::Predecoded`] — the default: per-block folded constants
-//!   and a resolved spill-event stream
-//!   ([`PreparedVersion::prepare`](crate::PreparedVersion::prepare)).
-//! * [`ExecTier::Jit`] — threaded code: blocks lowered once into arrays
-//!   of monomorphized op thunks (the `peak-jit` crate), with per-version
-//!   fallback to the predecoded tier when lowering declines.
+//!   executor before pre-decoding existed). Baseline for A/B benches;
+//!   its engine is [`InterpVersion`](crate::InterpVersion).
+//! * [`ExecTier::Predecoded`] — per-block folded constants and a
+//!   resolved spill-event stream
+//!   ([`PreparedVersion::prepare`](crate::PreparedVersion::prepare));
+//!   the [`PreparedVersion`] is its own engine.
+//! * [`ExecTier::Jit`] — the default: threaded code, blocks lowered once
+//!   into arrays of monomorphized op thunks (the `peak-jit` crate). A
+//!   version whose lowering declines runs on the predecoded engine.
 //!
 //! The tier is an execution-engine choice, never a semantics or cost
 //! choice: `PEAK_TIER` can be flipped on any experiment and every golden
-//! byte stays identical.
+//! byte stays identical. It is chosen once per version, when the engine
+//! is built; whoever runs an engine just calls [`TierBackend::execute`].
 
 use crate::cache::AddressMap;
-use crate::exec::{ExecError, ExecOptions, ExecResult, ExecScratch, MachineState};
+use crate::exec::{ExecError, ExecOptions, ExecResult, ExecScratch, MachineState, PreparedVersion};
 use peak_ir::{MemoryImage, Value};
 
 /// Which execution engine runs TS invocations.
@@ -27,10 +30,11 @@ use peak_ir::{MemoryImage, Value};
 pub enum ExecTier {
     /// Recompute-everything IR walker (slowest, zero preparation reuse).
     Interp,
-    /// Pre-decoded cost-stream interpreter (the default).
-    #[default]
+    /// Pre-decoded cost-stream interpreter.
     Predecoded,
-    /// Threaded-code backend with per-version fallback to `Predecoded`.
+    /// Threaded code (the default), with per-version fallback to
+    /// `Predecoded` when lowering declines.
+    #[default]
     Jit,
 }
 
@@ -51,22 +55,23 @@ impl ExecTier {
     pub fn parse(s: &str) -> Option<ExecTier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "interp" | "interpreter" => Some(ExecTier::Interp),
-            "predecoded" | "predecode" | "default" => Some(ExecTier::Predecoded),
+            "predecoded" | "predecode" => Some(ExecTier::Predecoded),
             "jit" | "native" => Some(ExecTier::Jit),
+            "default" => Some(ExecTier::default()),
             _ => None,
         }
     }
 
     /// The tier selected by the `PEAK_TIER` environment variable
-    /// (default [`ExecTier::Predecoded`]). Re-read on every call so
-    /// tests can flip the variable between harnesses; panics on an
+    /// ([`ExecTier::default`] when unset). Re-read on every call so
+    /// tests can flip the variable between builds; panics on an
     /// unrecognized value — a typo silently falling back to the default
     /// would invalidate whatever A/B experiment set it.
     pub fn from_env() -> ExecTier {
         match std::env::var("PEAK_TIER") {
             Ok(v) if !v.is_empty() => ExecTier::parse(&v)
                 .unwrap_or_else(|| panic!("PEAK_TIER={v:?} is not interp|predecoded|jit")),
-            _ => ExecTier::Predecoded,
+            _ => ExecTier::default(),
         }
     }
 }
@@ -77,16 +82,16 @@ impl std::fmt::Display for ExecTier {
     }
 }
 
-/// A compiled execution engine for one
-/// [`PreparedVersion`](crate::PreparedVersion): given the same inputs it
-/// must produce the same [`ExecResult`] (return value, `true_cycles`,
-/// counters, write log) and the same machine-state evolution as
-/// [`execute_with_scratch`](crate::execute_with_scratch), bit for bit.
+/// An execution engine for one version: given the same inputs every
+/// engine must produce the same [`ExecResult`] (return value,
+/// `true_cycles`, counters, write log) and the same machine-state
+/// evolution as [`execute_with_scratch`](crate::execute_with_scratch),
+/// bit for bit.
 ///
-/// Backends are attached lazily to the prepared version via
-/// [`PreparedVersion::native_backend`](crate::PreparedVersion::native_backend)
-/// and shared through the version cache, so lowering happens at most
-/// once per (version, machine).
+/// The engine is the unit the version cache in `peak-core` builds (one
+/// per version and tier) and the run harness executes. Implementations:
+/// [`PreparedVersion`] (predecoded), [`InterpVersion`](crate::InterpVersion)
+/// (the slow oracle) and `peak_jit::JitVersion` (threaded code).
 pub trait TierBackend: Send + Sync {
     /// Execute one invocation of the version's entry function.
     #[allow(clippy::too_many_arguments)]
@@ -100,8 +105,13 @@ pub trait TierBackend: Send + Sync {
         scratch: &mut ExecScratch,
     ) -> Result<ExecResult, ExecError>;
 
-    /// Number of basic blocks this backend compiled (metrics).
-    fn blocks_compiled(&self) -> usize;
+    /// The tier this engine implements (what an invocation is counted
+    /// against).
+    fn tier(&self) -> ExecTier;
+
+    /// The prepared version this engine interprets. `None` for lowered
+    /// code, which carries no interpretive body.
+    fn prepared(&self) -> Option<&PreparedVersion>;
 }
 
 #[cfg(test)]
@@ -115,6 +125,11 @@ mod tests {
         }
         assert_eq!(ExecTier::parse("native"), Some(ExecTier::Jit));
         assert_eq!(ExecTier::parse("bogus"), None);
-        assert_eq!(ExecTier::default(), ExecTier::Predecoded);
+        assert_eq!(ExecTier::default(), ExecTier::Jit);
+        // The alias and the unset fallback both follow the one default.
+        assert_eq!(ExecTier::parse("default"), Some(ExecTier::default()));
+        if std::env::var_os("PEAK_TIER").is_none() {
+            assert_eq!(ExecTier::from_env(), ExecTier::default());
+        }
     }
 }
