@@ -2,10 +2,11 @@
 //! production measurements behind Figure 7.
 //!
 //! [`tune`] runs a search with a chosen rating method on the tuning
-//! dataset; `production_time` measures the tuned binary on the
+//! dataset; [`production_time`] measures the tuned binary on the
 //! (different) production dataset — the train-bar/ref-bar distinction of
-//! Figure 7. [`Tuner`] is the checkpointing, fault-tolerant driver: the
-//! same Iterative Elimination, one resumable round at a time.
+//! Figure 7 — simulating each production run once per process.
+//! [`Tuner`] is the checkpointing, fault-tolerant driver: the same
+//! Iterative Elimination, one resumable round at a time.
 
 use crate::checkpoint::TunerCheckpoint;
 use crate::consultant::Method;
@@ -18,7 +19,7 @@ use crate::strategy::{
     build_strategy, strategy_seed, FrontierRater, IeState, IterativeElimination, RaterAccounting,
     SearchStrategy, StrategyKind,
 };
-use crate::version_cache::VersionCache;
+use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, span, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
@@ -67,19 +68,30 @@ impl ToJson for TuneReport {
 
 /// Measure a full production run (no instrumentation, no tuning
 /// overheads): total true cycles of one application run.
+///
+/// The run is simulated once per process and version: its harness has
+/// seed 0 and no faults, and only true cycles are summed, so the answer
+/// is a pure function of `(workload, cfg, spec, ds)` and later calls read
+/// it from the [`VersionCache`]'s production-run memo. Concurrent calls
+/// for one version share a single run; [`VersionCache::clear`] forgets
+/// every run.
 pub fn production_time(
     workload: &dyn Workload,
     spec: &MachineSpec,
     cfg: OptConfig,
     ds: Dataset,
 ) -> u64 {
-    let pv = VersionCache::global().prepare_workload(workload, spec, cfg);
-    let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
-    let opts = ExecOptions::default();
-    while let Some(args) = h.next_args() {
-        let _ = h.execute(&*pv, &args, &opts);
-    }
-    h.cycles()
+    let cache = VersionCache::global();
+    let key = VersionKey::plain(workload, cfg, spec.kind);
+    cache.production_cycles(key, ds, || {
+        let engine = cache.prepare_workload(workload, spec, cfg);
+        let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
+        let opts = ExecOptions::default();
+        while let Some(args) = h.next_args() {
+            let _ = h.execute(&*engine, &args, &opts);
+        }
+        h.cycles()
+    })
 }
 
 /// Knobs for [`tune`]. The default — a disabled tracer, a 1-thread
@@ -91,15 +103,17 @@ pub struct TuneOptions {
     /// emits telemetry through it.
     pub tracer: Tracer,
     /// Job pool: each round's candidate frontier is pre-compiled in
-    /// parallel through the shared [`VersionCache`]. Warm-up is pure, so
-    /// the serial protocol's output is byte-identical at any pool size;
-    /// the pooled strategies also rate on it, thread-count-invariantly.
+    /// parallel through the shared [`VersionCache`], and the baseline
+    /// and tuned production runs run side by side. Both are pure, so the
+    /// serial protocol's output is byte-identical at any pool size; the
+    /// pooled strategies also rate on it, thread-count-invariantly.
     pub pool: Pool,
     /// IE start configuration (`None` = O3; the serve daemon's
     /// knowledge-store warm start supplies a nearest-neighbour config).
     pub start: Option<OptConfig>,
-    /// Cooperative cancellation token, checked at run starts, IE round
-    /// boundaries, and between the tuning and production phases.
+    /// Cooperative cancellation token, checked at tuning-run starts, IE
+    /// round boundaries, and once before the production phase (whose two
+    /// runs then complete).
     pub cancel: CancelToken,
     /// Search strategy. `None` runs the serial IE — the
     /// goldens-compatible protocol. `Some(kind)` runs `kind` on the
@@ -127,6 +141,11 @@ impl Default for TuneOptions {
 /// input. This is one bar of Figure 7(a)/(b) plus the tuning-time number
 /// for 7(c)/(d), and the entry point behind
 /// [`run_tuning_job`](crate::job::run_tuning_job).
+///
+/// After the search, the cancel token is checked once; the -O3 baseline
+/// and the tuned version's [`production_time`] then run as one two-job
+/// batch on `options.pool`, so they overlap when a helper thread is free
+/// and run inline, baseline first, on a one-thread pool.
 pub fn tune(
     workload: &dyn Workload,
     spec: &MachineSpec,
@@ -154,9 +173,11 @@ pub fn tune(
         }
     };
     options.cancel.check();
-    let baseline_cycles = production_time(workload, spec, OptConfig::o3(), Dataset::Ref);
-    options.cancel.check();
-    let tuned_cycles = production_time(workload, spec, search.best, Dataset::Ref);
+    let configs = [OptConfig::o3(), search.best];
+    let cycles = options
+        .pool
+        .map(configs.len(), |i| production_time(workload, spec, configs[i], Dataset::Ref));
+    let (baseline_cycles, tuned_cycles) = (cycles[0], cycles[1]);
     let improvement_pct =
         (baseline_cycles as f64 / tuned_cycles.max(1) as f64 - 1.0) * 100.0;
     TuneReport {

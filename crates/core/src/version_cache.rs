@@ -1,4 +1,5 @@
-//! Process-wide compile/prepare/lower cache for tuning-section versions.
+//! Process-wide cache of tuning-section versions (compiled, prepared and
+//! lowered) and of the cycles of their production runs.
 //!
 //! Every layer of the tuning pipeline — rating calls, the checkpointed
 //! [`Tuner`](crate::Tuner), the degradation cascade, the consultant's MBR
@@ -46,12 +47,21 @@
 //! 0.5–1.1 KB and lowering 1.2–3.7 KB. A predecoded entry keeps IR and
 //! decoded blocks (2.9–9.4 KB); a lowered entry keeps the lowered code
 //! alone (1.2–3.7 KB), where keeping all three would cost 4.1–12.5 KB.
+//!
+//! Beside the versions the cache memoizes production runs for
+//! [`production_time`](crate::production_time): the true cycles of one full
+//! run of a version on a dataset, keyed by `(VersionKey, Dataset)`. A
+//! production run is noise-free and fault-free, so its cycles are a pure
+//! function of the key, and Figure 7's cells — which all score against
+//! their pair's -O3 ref run — simulate each distinct run once. Tuning
+//! runs are not memoized: they are noisy, can be faulted, and count
+//! toward tuning time.
 
 use crate::sched::Pool;
 use peak_obs::Tracer;
 use peak_opt::{CompiledVersion, OptConfig};
 use peak_sim::{ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
-use peak_workloads::Workload;
+use peak_workloads::{Dataset, Workload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -122,6 +132,12 @@ pub struct CacheStats {
     /// Missing lookups that blocked on another thread's in-flight
     /// compile instead of compiling themselves.
     pub coalesced: u64,
+    /// Production runs simulated to completion for
+    /// [`production_time`](crate::production_time).
+    pub production_runs: u64,
+    /// Production-run requests answered from the memo, including those
+    /// that waited on a run already in flight.
+    pub production_hits: u64,
 }
 
 impl CacheStats {
@@ -142,6 +158,8 @@ impl CacheStats {
             misses: self.misses.saturating_sub(earlier.misses),
             compiles: self.compiles.saturating_sub(earlier.compiles),
             coalesced: self.coalesced.saturating_sub(earlier.coalesced),
+            production_runs: self.production_runs.saturating_sub(earlier.production_runs),
+            production_hits: self.production_hits.saturating_sub(earlier.production_hits),
         }
     }
 
@@ -151,11 +169,14 @@ impl CacheStats {
     /// [`VersionCache::len`] at render time.
     pub fn render(&self, entries: usize) -> String {
         format!(
-            "version cache: {} hits / {} lookups ({:.0}% hit rate, {} entries)",
+            "version cache: {} hits / {} lookups ({:.0}% hit rate, {} entries); \
+             production runs: {} simulated, {} from memo",
             self.hits,
             self.hits + self.misses,
             self.hit_rate() * 100.0,
             entries,
+            self.production_runs,
+            self.production_hits,
         )
     }
 }
@@ -199,16 +220,24 @@ impl Drop for BuildGuard<'_> {
     }
 }
 
+/// Memo slot of one production run: filled once, by the first requester
+/// whose run completes.
+type ProductionSlot = Arc<OnceLock<u64>>;
+
 /// A version cache: `VersionKey` → `Arc<dyn TierBackend>` (the engine
 /// of the key's tier), with in-flight de-duplication of concurrent
-/// builds.
+/// builds, plus the production-run memo `(VersionKey, Dataset)` → true
+/// cycles.
 #[derive(Default)]
 pub struct VersionCache {
     map: Mutex<HashMap<VersionKey, Slot>>,
+    production: Mutex<HashMap<(VersionKey, Dataset), ProductionSlot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
     coalesced: AtomicU64,
+    production_runs: AtomicU64,
+    production_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for VersionCache {
@@ -361,6 +390,41 @@ impl VersionCache {
         });
     }
 
+    /// The true cycles of one full production run of `key` on `ds`,
+    /// running `run` only when no earlier request for the same pair
+    /// completed. `run` must simulate that run deterministically (the
+    /// seed-0, fault-free harness of
+    /// [`production_time`](crate::production_time), the only caller), so
+    /// every answer for a key is the same number.
+    ///
+    /// Concurrent requests for one pair simulate once: the first runs
+    /// `run` outside the memo lock, later ones wait for it and share its
+    /// answer. If `run` panics the slot stays empty and the next
+    /// requester runs its own.
+    pub(crate) fn production_cycles(
+        &self,
+        key: VersionKey,
+        ds: Dataset,
+        run: impl FnOnce() -> u64,
+    ) -> u64 {
+        let slot = self
+            .production
+            .lock()
+            .expect("production memo lock")
+            .entry((key, ds))
+            .or_default()
+            .clone();
+        let mut ran = false;
+        let cycles = *slot.get_or_init(|| {
+            let cycles = run();
+            ran = true;
+            cycles
+        });
+        let counter = if ran { &self.production_runs } else { &self.production_hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        cycles
+    }
+
     /// Cached versions currently held (ready or in flight).
     pub fn len(&self) -> usize {
         self.map.lock().expect("version cache lock").len()
@@ -371,20 +435,26 @@ impl VersionCache {
         self.len() == 0
     }
 
-    /// Snapshot the hit/miss/compile counters.
+    /// Snapshot the version and production-run counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
+            production_runs: self.production_runs.load(Ordering::Relaxed),
+            production_hits: self.production_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Drop every cached version (counters keep running). In-flight
-    /// builds complete against their gates and re-insert themselves.
+    /// Drop every cached version and every memoized production run
+    /// (counters keep running), so the next request for either builds or
+    /// simulates again. In-flight builds complete against their gates
+    /// and re-insert themselves; in-flight production runs answer their
+    /// waiters and are not kept.
     pub fn clear(&self) {
         self.map.lock().expect("version cache lock").clear();
+        self.production.lock().expect("production memo lock").clear();
     }
 
     /// Mirror this cache's counters into the global
@@ -417,6 +487,12 @@ impl VersionCache {
             "core.version_cache.coalesced",
             "Missing lookups coalesced onto an in-flight compile",
             s.coalesced,
+        );
+        sync("core.version_cache.production_runs", "Production runs simulated", s.production_runs);
+        sync(
+            "core.version_cache.production_hits",
+            "Production-run requests answered from the memo",
+            s.production_hits,
         );
         r.gauge("core.version_cache.entries", "Versions currently cached").set(self.len() as i64);
     }
@@ -660,6 +736,68 @@ mod tests {
         let _ = cache.prepare_workload(&w, &spec, OptConfig::o0());
         let d = cache.stats().delta(&before);
         assert_eq!((d.hits, d.misses), (2, 0), "warmed keys hit: {d:?}");
+    }
+
+    /// Ten concurrent requests for one production run simulate it once:
+    /// the run does not finish until the pool's other three workers have
+    /// entered `production_cycles`, so they wait on the run in flight.
+    #[test]
+    fn concurrent_production_requests_simulate_once() {
+        const THREADS: usize = 4;
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let key = VersionKey::plain(&w, OptConfig::o3(), MachineKind::SparcII);
+        let entered = (Mutex::new(0usize), Condvar::new());
+        let answers = Pool::with_threads(THREADS).map(10, |_| {
+            *entered.0.lock().expect("entered lock") += 1;
+            entered.1.notify_all();
+            cache.production_cycles(key.clone(), Dataset::Ref, || {
+                let (n, timeout) = entered
+                    .1
+                    .wait_timeout_while(
+                        entered.0.lock().expect("entered lock"),
+                        std::time::Duration::from_secs(30),
+                        |n| *n < THREADS,
+                    )
+                    .expect("entered wait");
+                assert!(!timeout.timed_out(), "only {} requesters arrived", *n);
+                12_345
+            })
+        });
+        assert_eq!(answers, vec![12_345; 10], "every requester gets the one run's cycles");
+        let s = cache.stats();
+        assert_eq!((s.production_runs, s.production_hits), (1, 9), "{s:?}");
+    }
+
+    /// A run that panics leaves its slot empty: the next request runs
+    /// again and its answer is kept.
+    #[test]
+    fn panicked_production_run_is_retried() {
+        let cache = VersionCache::new();
+        let key = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.production_cycles(key.clone(), Dataset::Train, || panic!("injected run failure"))
+        }));
+        assert!(panicked.is_err(), "the run's panic reaches its requester");
+        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 7), 7);
+        assert_eq!(cache.production_cycles(key, Dataset::Train, || unreachable!("memoized")), 7);
+        let s = cache.stats();
+        assert_eq!((s.production_runs, s.production_hits), (1, 1), "{s:?}");
+    }
+
+    /// The memo keys on the dataset as well as the version, and `clear`
+    /// drops it, so the next request simulates again.
+    #[test]
+    fn clear_drops_memoized_production_runs() {
+        let cache = VersionCache::new();
+        let key = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
+        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 1), 1);
+        assert_eq!(cache.production_cycles(key.clone(), Dataset::Ref, || 2), 2);
+        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 3), 1);
+        cache.clear();
+        assert_eq!(cache.production_cycles(key, Dataset::Train, || 4), 4);
+        let s = cache.stats();
+        assert_eq!((s.production_runs, s.production_hits), (3, 1), "{s:?}");
     }
 
     #[test]
