@@ -120,10 +120,7 @@ impl AdaptiveTuner {
                 st.best_window.push(measured as f64);
             }
             // Decision point.
-            if st.experiment < n_versions
-                && (st.best_window.converged() || st.best_window.exhausted())
-                && (st.exp_window.converged() || st.exp_window.exhausted())
-            {
+            if st.experiment < n_versions && !st.best_window.is_open() && !st.exp_window.is_open() {
                 st.decisions += 1;
                 let b = st.best_window.summary().mean;
                 let e = st.exp_window.summary().mean;

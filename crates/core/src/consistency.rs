@@ -230,17 +230,7 @@ fn mbr_row(
                 .chunks_exact(w)
                 .zip(counts.chunks_exact(w))
                 .filter_map(|(t, c)| {
-                    let kept = stats::trim_outliers(t, stats::OUTLIER_K);
-                    let keep: std::collections::HashSet<u64> =
-                        kept.iter().map(|x| x.to_bits()).collect();
-                    let mut ft = Vec::new();
-                    let mut fc = Vec::new();
-                    for (x, row) in t.iter().zip(c) {
-                        if keep.contains(&x.to_bits()) {
-                            ft.push(*x);
-                            fc.push(row.clone());
-                        }
-                    }
+                    let (ft, fc) = stats::trimmed_rows(t, c);
                     crate::linreg::solve(&ft, &fc).map(|reg| model.eval_of(&reg))
                 })
                 .collect();

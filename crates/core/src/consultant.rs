@@ -240,16 +240,7 @@ fn profile_mbr_quality(
         counts.push(model.count_row(&args, &res.counters));
     }
     // Trim outlier rows jointly (by time) before fitting.
-    let kept = crate::stats::trim_outliers(&times, crate::stats::OUTLIER_K);
-    let keep_set: std::collections::HashSet<u64> = kept.iter().map(|t| t.to_bits()).collect();
-    let mut ft = Vec::new();
-    let mut fc = Vec::new();
-    for (t, c) in times.iter().zip(&counts) {
-        if keep_set.contains(&t.to_bits()) {
-            ft.push(*t);
-            fc.push(c.clone());
-        }
-    }
+    let (ft, fc) = crate::stats::trimmed_rows(&times, &counts);
     match model.fit_profile_times(&ft, &fc) {
         Some(reg) => reg.var <= MAX_MBR_PROFILE_VAR,
         None => false,

@@ -10,7 +10,7 @@ use crate::consultant::{Consultation, Method};
 use crate::harness::RunHarness;
 use crate::job::CancelToken;
 use crate::sched::Pool;
-use crate::stats::Window;
+use crate::stats::{least_sampled_open, trimmed_rows, Window};
 use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, Tracer};
 use peak_opt::OptConfig;
@@ -522,14 +522,7 @@ fn rate_cbr(
                 }
                 continue;
             }
-            // Pick the least-sampled unconverged window.
-            let pick = windows
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !w.converged() && !w.exhausted())
-                .min_by_key(|(_, w)| w.len())
-                .map(|(i, _)| i);
-            let Some(i) = pick else {
+            let Some(i) = least_sampled_open(&windows) else {
                 setup.absorb_run(&h);
                 break 'runs;
             };
@@ -544,7 +537,7 @@ fn rate_cbr(
             }
         }
         setup.absorb_run(&h);
-        if windows.iter().all(|w| w.converged() || w.exhausted()) {
+        if !windows.iter().any(Window::is_open) {
             break;
         }
     }
@@ -655,10 +648,9 @@ fn rate_mbr(
                 Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
             }
             if times[i].len() >= min_rows && times[i].len().is_multiple_of(8) {
-                if let Some((t, c)) = trimmed_rows(&times[i], &counts[i]) {
-                    if let Some(reg) = crate::linreg::solve(&t, &c) {
-                        evals[i] = Some((model.eval_of(&reg), reg.var));
-                    }
+                let (t, c) = trimmed_rows(&times[i], &counts[i]);
+                if let Some(reg) = crate::linreg::solve(&t, &c) {
+                    evals[i] = Some((model.eval_of(&reg), reg.var));
                 }
             }
         }
@@ -672,10 +664,9 @@ fn rate_mbr(
     // Final fits for stragglers.
     for i in 0..all.len() {
         if evals[i].is_none() {
-            if let Some((t, c)) = trimmed_rows(&times[i], &counts[i]) {
-                if let Some(reg) = crate::linreg::solve(&t, &c) {
-                    evals[i] = Some((model.eval_of(&reg), reg.var));
-                }
+            let (t, c) = trimmed_rows(&times[i], &counts[i]);
+            if let Some(reg) = crate::linreg::solve(&t, &c) {
+                evals[i] = Some((model.eval_of(&reg), reg.var));
             }
         }
     }
@@ -718,24 +709,6 @@ fn rate_mbr(
     }
 }
 
-/// Remove time-outlier rows jointly from (times, counts).
-fn trimmed_rows(times: &[f64], counts: &[Vec<f64>]) -> Option<(Vec<f64>, Vec<Vec<f64>>)> {
-    if times.is_empty() {
-        return None;
-    }
-    let kept = crate::stats::trim_outliers(times, crate::stats::OUTLIER_K);
-    let keep: std::collections::HashSet<u64> = kept.iter().map(|t| t.to_bits()).collect();
-    let mut t = Vec::new();
-    let mut c = Vec::new();
-    for (x, row) in times.iter().zip(counts) {
-        if keep.contains(&x.to_bits()) {
-            t.push(*x);
-            c.push(row.clone());
-        }
-    }
-    Some((t, c))
-}
-
 /// RBR with the improved protocol (paper Fig. 4): per invocation, save
 /// the modified input, warm the cache with a precondition pass, then time
 /// base and candidate back-to-back under the identical context, swapping
@@ -764,13 +737,7 @@ fn rate_rbr(
         let mut h = setup.new_run();
         while let Some(args) = h.next_args() {
             setup.invocations_used += 1;
-            let pick = windows
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !w.converged() && !w.exhausted())
-                .min_by_key(|(_, w)| w.len())
-                .map(|(i, _)| i);
-            let Some(i) = pick else {
+            let Some(i) = least_sampled_open(&windows) else {
                 setup.absorb_run(&h);
                 break 'runs;
             };
@@ -791,7 +758,7 @@ fn rate_rbr(
             }
         }
         setup.absorb_run(&h);
-        if windows.iter().all(|w| w.converged() || w.exhausted()) {
+        if !windows.iter().any(Window::is_open) {
             break;
         }
     }
@@ -969,7 +936,9 @@ fn rate_whl(setup: &mut TuningSetup<'_>, base: OptConfig, candidates: &[OptConfi
 mod tests {
     use super::*;
     use peak_sim::MachineSpec;
-    use peak_workloads::{bzip2::Bzip2FullGtU, equake::EquakeSmvp, swim::SwimCalc3};
+    use peak_workloads::{
+        bzip2::Bzip2FullGtU, equake::EquakeSmvp, swim::SwimCalc3, vortex::VortexChkGetChunk,
+    };
 
     /// Self-comparison sanity: rating the base against itself must give
     /// improvement ≈ 1 for every method that applies.
@@ -1040,5 +1009,24 @@ mod tests {
             cbr_cycles < whl_cycles,
             "CBR {cbr_cycles} should beat WHL {whl_cycles}"
         );
+    }
+
+    /// Outliers are trimmed once per sample: rating VORTEX/SPARC-II's
+    /// -O3 single-removal frontier with serial RBR computes exactly one
+    /// robust summary per accepted sample, however often the pick loop
+    /// and the run-end check query the windows.
+    #[test]
+    fn rbr_summarises_each_sample_once() {
+        use crate::stats::ROBUST_SUMMARIES;
+        let w = VortexChkGetChunk::new();
+        let mut setup = TuningSetup::new(&w, MachineSpec::sparc_ii(), Dataset::Train);
+        let base = OptConfig::o3();
+        let frontier: Vec<OptConfig> =
+            base.enabled_flags().into_iter().map(|f| base.without(f)).collect();
+        let before = ROBUST_SUMMARIES.with(|n| n.get());
+        let out = rate(&mut setup, Method::Rbr, base, &frontier).expect("RBR applies");
+        let summaries = ROBUST_SUMMARIES.with(|n| n.get()) - before;
+        assert!(out.samples > frontier.len(), "{} samples", out.samples);
+        assert_eq!(summaries, out.samples);
     }
 }

@@ -72,15 +72,42 @@ pub const OUTLIER_K: f64 = 7.5;
 
 /// Summary after outlier elimination.
 pub fn robust_summary(xs: &[f64]) -> Summary {
+    #[cfg(test)]
+    ROBUST_SUMMARIES.with(|n| n.set(n.get() + 1));
     summarize(&trim_outliers(xs, OUTLIER_K))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Robust summaries computed on this thread (work-count tests).
+    pub(crate) static ROBUST_SUMMARIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Remove time-outlier rows jointly from (times, rows): trims `times`,
+/// then keeps each row whose time survived (MBR fits regress the kept
+/// times on the kept count rows).
+pub(crate) fn trimmed_rows(times: &[f64], rows: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let kept = trim_outliers(times, OUTLIER_K);
+    let keep: std::collections::HashSet<u64> = kept.iter().map(|t| t.to_bits()).collect();
+    times
+        .iter()
+        .zip(rows)
+        .filter(|(t, _)| keep.contains(&t.to_bits()))
+        .map(|(t, row)| (*t, row.clone()))
+        .unzip()
 }
 
 /// An EVAL/VAR accumulation window (paper §3): collects samples until the
 /// coefficient of variation of the *mean estimate* falls below a
 /// threshold, then reports a consistent rating.
+///
+/// Invariant: the stored summary is `robust_summary(self.samples())`.
+/// [`Window::push`] is the only mutator and refreshes it, so every query
+/// is O(1) and allocates nothing; outliers are trimmed once per sample.
 #[derive(Debug, Clone)]
 pub struct Window {
     samples: Vec<f64>,
+    summary: Summary,
     /// Minimum samples before a rating may be produced.
     pub min_samples: usize,
     /// Maximum samples before giving up (method switch trigger).
@@ -93,17 +120,19 @@ impl Window {
     /// Standard window: w≥10, convergence when the standard error of the
     /// mean drops under 1% of the mean.
     pub fn new() -> Self {
-        Window { samples: Vec::new(), min_samples: 10, max_samples: 400, var_threshold: 0.01 }
+        Self::with(10, 400, 0.01)
     }
 
     /// Window with custom bounds.
     pub fn with(min_samples: usize, max_samples: usize, var_threshold: f64) -> Self {
-        Window { samples: Vec::new(), min_samples, max_samples, var_threshold }
+        let summary = summarize(&[]);
+        Window { samples: Vec::new(), summary, min_samples, max_samples, var_threshold }
     }
 
-    /// Add a measurement.
+    /// Add a measurement and refresh the robust summary.
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
+        self.summary = robust_summary(&self.samples);
     }
 
     /// Samples collected so far.
@@ -123,12 +152,12 @@ impl Window {
 
     /// Current robust summary.
     pub fn summary(&self) -> Summary {
-        robust_summary(&self.samples)
+        self.summary
     }
 
     /// Samples rejected by the outlier filter.
     pub fn rejected(&self) -> usize {
-        self.samples.len() - self.summary().n
+        self.samples.len() - self.summary.n
     }
 
     /// CV of the *mean estimate* (standard error of the mean over |mean|)
@@ -138,7 +167,7 @@ impl Window {
     /// (possibly infinite) value into `RateOutcome::vars` instead of
     /// vanishing into the `unconverged` count alone.
     pub fn mean_cv(&self) -> f64 {
-        let s = self.summary();
+        let s = self.summary;
         if s.n == 0 || s.mean.abs() < f64::EPSILON {
             return f64::INFINITY;
         }
@@ -148,20 +177,27 @@ impl Window {
 
     /// Converged? (standard error of mean below threshold)
     pub fn converged(&self) -> bool {
-        if self.samples.len() < self.min_samples {
-            return false;
-        }
-        let s = self.summary();
-        if s.n < self.min_samples.min(4) {
-            return false;
-        }
-        self.mean_cv() < self.var_threshold
+        self.samples.len() >= self.min_samples
+            && self.summary.n >= self.min_samples.min(4)
+            && self.mean_cv() < self.var_threshold
     }
 
     /// Exhausted without convergence? (the §3 method-switch trigger)
     pub fn exhausted(&self) -> bool {
         self.samples.len() >= self.max_samples && !self.converged()
     }
+
+    /// Still sampling: neither converged nor at `max_samples`. A rating
+    /// run ends when no window is open.
+    pub(crate) fn is_open(&self) -> bool {
+        self.samples.len() < self.max_samples && !self.converged()
+    }
+}
+
+/// The window the next sample goes to: the least-sampled open one (the
+/// first on ties), or `None` when every window is closed.
+pub(crate) fn least_sampled_open(windows: &[Window]) -> Option<usize> {
+    (0..windows.len()).filter(|&i| windows[i].is_open()).min_by_key(|&i| windows[i].len())
 }
 
 impl Default for Window {
@@ -210,6 +246,7 @@ mod tests {
         }
         assert!(w.converged());
         assert!(!w.exhausted());
+        assert!(!w.is_open());
     }
 
     #[test]
@@ -219,6 +256,7 @@ mod tests {
             w.push(1000.0);
         }
         assert!(!w.converged(), "below min_samples");
+        assert!(w.is_open());
     }
 
     #[test]
@@ -230,6 +268,25 @@ mod tests {
         }
         assert!(!w.converged());
         assert!(w.exhausted());
+        assert!(!w.is_open());
+    }
+
+    #[test]
+    fn pick_is_least_sampled_open_window() {
+        let mut ws = vec![Window::with(2, 3, 0.01); 3];
+        assert_eq!(least_sampled_open(&ws), Some(0), "first on ties");
+        ws[0].push(5.0);
+        assert_eq!(least_sampled_open(&ws), Some(1));
+        for w in &mut ws[1..] {
+            for _ in 0..3 {
+                w.push(5.0);
+            }
+        }
+        assert_eq!(least_sampled_open(&ws), Some(0), "converged windows are closed");
+        ws[0].push(1.0);
+        ws[0].push(9.0);
+        assert!(ws[0].exhausted());
+        assert_eq!(least_sampled_open(&ws), None);
     }
 
     #[test]

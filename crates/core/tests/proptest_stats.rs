@@ -1,8 +1,65 @@
 //! Property tests on the rating statistics and the MBR regression solver.
 
 use peak_core::linreg;
-use peak_core::stats::{robust_summary, summarize, trim_outliers, OUTLIER_K};
+use peak_core::stats::{robust_summary, summarize, trim_outliers, Summary, Window, OUTLIER_K};
 use proptest::prelude::*;
+
+/// The stateless window formulas `Window` is checked against: each
+/// query re-summarises every sample collected so far.
+mod oracle {
+    use super::*;
+
+    pub fn mean_cv(xs: &[f64]) -> f64 {
+        let s = robust_summary(xs);
+        if s.n == 0 || s.mean.abs() < f64::EPSILON {
+            return f64::INFINITY;
+        }
+        let sem = s.std_dev() / (s.n as f64).sqrt();
+        sem / s.mean.abs()
+    }
+
+    pub fn converged(xs: &[f64], min_samples: usize, var_threshold: f64) -> bool {
+        if xs.len() < min_samples {
+            return false;
+        }
+        if robust_summary(xs).n < min_samples.min(4) {
+            return false;
+        }
+        mean_cv(xs) < var_threshold
+    }
+
+    pub fn exhausted(xs: &[f64], min: usize, max: usize, var_threshold: f64) -> bool {
+        xs.len() >= max && !converged(xs, min, var_threshold)
+    }
+
+    pub fn rejected(xs: &[f64]) -> usize {
+        xs.len() - robust_summary(xs).n
+    }
+}
+
+fn summary_bits(s: Summary) -> (u64, u64, usize) {
+    (s.mean.to_bits(), s.variance.to_bits(), s.n)
+}
+
+/// A seeded measurement stream of `len` samples: `kind` 0 clean jitter,
+/// 1 jitter with interrupt spikes, 2 constant (zero half the time),
+/// 3 wide noise that rarely converges, 4 signs alternating around zero.
+fn stream(kind: u8, seed: u64, len: usize) -> Vec<f64> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let base = rng.gen_range(10.0..1.0e6);
+    let constant = if rng.gen_bool(0.5) { base } else { 0.0 };
+    (0..len)
+        .map(|_| match kind {
+            0 => base * (1.0 + rng.gen_range(-0.01..0.01)),
+            1 if rng.gen_bool(0.1) => base * rng.gen_range(10.0..1000.0),
+            1 => base * (1.0 + rng.gen_range(-0.01..0.01)),
+            2 => constant,
+            3 => base * rng.gen_range(0.5..1.5),
+            _ => rng.gen_range(-1.0..1.0),
+        })
+        .collect()
+}
 
 proptest! {
     /// Outlier trimming never removes the majority of the data and always
@@ -124,5 +181,39 @@ proptest! {
         let scaled: Vec<f64> = times.iter().map(|t| t * scale).collect();
         let r2 = linreg::solve(&scaled, &counts).unwrap();
         prop_assert!((r1.var - r2.var).abs() < 1e-9);
+    }
+
+    /// After every push a window answers exactly what the stateless
+    /// formulas answer on its samples: summary bit for bit, the CV of
+    /// the mean, convergence, exhaustion and the rejected count. Streams
+    /// stop short of `min_samples`, inside the bounds, or run past
+    /// `max_samples`.
+    #[test]
+    fn window_matches_stateless_oracle(
+        kind in 0u8..5,
+        seed in any::<u64>(),
+        min in 1usize..16,
+        span in 0usize..64,
+        thr in 0.0005f64..0.05,
+        len_pick in any::<usize>(),
+    ) {
+        let max = min + span;
+        let len = match len_pick % 3 {
+            0 => len_pick / 3 % min,
+            1 => min + len_pick / 3 % (span + 1),
+            _ => max + 1 + len_pick / 3 % 30,
+        };
+        let xs = stream(kind, seed, len);
+        let mut w = Window::with(min, max, thr);
+        for (i, &x) in xs.iter().enumerate() {
+            w.push(x);
+            let seen = &xs[..=i];
+            prop_assert_eq!(w.samples(), seen);
+            prop_assert_eq!(summary_bits(w.summary()), summary_bits(robust_summary(seen)));
+            prop_assert_eq!(w.mean_cv().to_bits(), oracle::mean_cv(seen).to_bits());
+            prop_assert_eq!(w.converged(), oracle::converged(seen, min, thr));
+            prop_assert_eq!(w.exhausted(), oracle::exhausted(seen, min, max, thr));
+            prop_assert_eq!(w.rejected(), oracle::rejected(seen));
+        }
     }
 }
