@@ -22,13 +22,13 @@
 //!
 //! `--obs` runs the metrics-overhead gate and emits `BENCH_obs.json`:
 //! interleaved metrics-on/metrics-off slices of the same fixed
-//! invocation workload, medians of each side, and the on-vs-off
-//! overhead percentage. Exits non-zero when the overhead exceeds the
-//! gate (default 2%) — instrumentation that taxes the hot path gets
-//! caught in CI, not in production.
+//! invocation workload, and the median over pairs of the on/off time
+//! ratio as the overhead percentage. Exits non-zero when the overhead
+//! exceeds the gate (default 2%) — instrumentation that taxes the hot
+//! path gets caught in CI, not in production.
 //!
 //! `--tier {interp,predecoded,jit}` picks the engine the invocation
-//! and `--obs` benchmarks build (overriding `PEAK_TIER`; default jit),
+//! and `--obs` benchmarks build (default jit),
 //! and `--jit` runs the tier A/B comparison: one engine per tier built
 //! from the same prepared version, interleaved fixed-work slices of all
 //! three per workload×machine pair, medians, and the jit-vs-predecoded
@@ -184,7 +184,7 @@ fn main() {
     let only = arg_value(&args, "--bench");
     let json_path = arg_value(&args, "--json").unwrap_or_else(|| "BENCH_hotpath.json".into());
     let min_ms: u64 = arg_value(&args, "--min-ms").map_or(300, |v| v.parse().expect("--min-ms"));
-    let tier = arg_value(&args, "--tier").map_or_else(ExecTier::from_env, |t| {
+    let tier = arg_value(&args, "--tier").map_or_else(ExecTier::default, |t| {
         ExecTier::parse(&t).unwrap_or_else(|| {
             eprintln!("error: unknown tier `{t}` (expected interp, predecoded, or jit)");
             std::process::exit(1);
@@ -330,14 +330,13 @@ fn costmodel_bench(
     kinds: &[MachineKind],
     tier: ExecTier,
 ) -> bool {
-    const ROUNDS: usize = 5;
     let baseline_ratio: Option<f64> = std::fs::read_to_string(json_path)
         .ok()
         .and_then(|t| peak_util::from_str(&t).ok())
         .and_then(|j| j.get("median_speedup_vs_predecoded").and_then(Json::as_f64));
     println!();
     println!(
-        "cost-model gate — {} tier vs predecoded, {ROUNDS} interleaved rounds per pair",
+        "cost-model gate — {} tier vs predecoded, {AB_ROUNDS} interleaved rounds per pair",
         tier.name()
     );
     println!(
@@ -349,41 +348,9 @@ fn costmodel_bench(
     for w in workloads {
         for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let pv = prepare_o3(w.as_ref(), &spec);
-            let fast_engine = build_engine(pv.clone(), tier, &Tracer::disabled());
-            let pre_engine = build_engine(pv, ExecTier::Predecoded, &Tracer::disabled());
-            // Warm both engines (arg-stream materialization) and
-            // calibrate the slice on the predecoded tier.
-            let _ = timed_fixed_invocations(w.as_ref(), &spec, &*fast_engine, 64);
-            let warm = timed_fixed_invocations(w.as_ref(), &spec, &*pre_engine, 512);
-            let rate = 512.0 / warm.max(1e-9);
-            let slice =
-                ((rate * (min_ms as f64 / 1000.0) / ROUNDS as f64) as u64).clamp(256, 1 << 20);
-            let mut pre_secs = Vec::with_capacity(ROUNDS);
-            let mut tier_secs = Vec::with_capacity(ROUNDS);
-            for round in 0..ROUNDS {
-                // Alternate order so drift cannot favour one side.
-                let tier_first = round % 2 == 1;
-                for leg in 0..2 {
-                    if (leg == 0) == tier_first {
-                        tier_secs.push(timed_fixed_invocations(
-                            w.as_ref(),
-                            &spec,
-                            &*fast_engine,
-                            slice,
-                        ));
-                    } else {
-                        pre_secs.push(timed_fixed_invocations(
-                            w.as_ref(),
-                            &spec,
-                            &*pre_engine,
-                            slice,
-                        ));
-                    }
-                }
-            }
-            let pre = slice as f64 / median(&pre_secs).max(1e-9);
-            let fast = slice as f64 / median(&tier_secs).max(1e-9);
+            let (slice, rates) =
+                interleaved_rates(w.as_ref(), &spec, &[ExecTier::Predecoded, tier], min_ms);
+            let (pre, fast) = (rates[0], rates[1]);
             let ratio = fast / pre.max(1e-9);
             ratios.push(ratio);
             println!(
@@ -398,7 +365,7 @@ fn costmodel_bench(
                 ("workload", Json::Str(w.name().to_owned())),
                 ("machine", Json::Str(kind.name().to_owned())),
                 ("invocations_per_slice", Json::U(slice)),
-                ("rounds", Json::U(ROUNDS as u64)),
+                ("rounds", Json::U(AB_ROUNDS as u64)),
                 ("predecoded_per_sec", Json::F(pre)),
                 ("tier_per_sec", Json::F(fast)),
                 ("speedup_vs_predecoded", Json::F(ratio)),
@@ -464,10 +431,8 @@ fn jit_bench(
     workloads: &[Box<dyn Workload>],
     kinds: &[MachineKind],
 ) -> bool {
-    const ROUNDS: usize = 5;
-    const TIERS: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Predecoded, ExecTier::Jit];
     println!();
-    println!("jit tier A/B — {ROUNDS} interleaved rounds per workload×machine");
+    println!("jit tier A/B — {AB_ROUNDS} interleaved rounds per workload×machine");
     println!(
         "{:<10} {:>9} | {:>13} {:>13} {:>13} {:>9}",
         "workload", "machine", "interp/s", "predecoded/s", "jit/s", "jit/pre"
@@ -478,26 +443,8 @@ fn jit_bench(
     for w in workloads {
         for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let pv = prepare_o3(w.as_ref(), &spec);
-            let engines = TIERS.map(|t| build_engine(pv.clone(), t, &Tracer::disabled()));
-            // Calibrate the slice on the predecoded tier so each
-            // tier-slice runs roughly min_ms/ROUNDS (also warms the
-            // argument stream before any timed slice).
-            let _ = timed_fixed_invocations(w.as_ref(), &spec, &*engines[2], 64);
-            let warm = timed_fixed_invocations(w.as_ref(), &spec, &*engines[1], 512);
-            let rate = 512.0 / warm.max(1e-9);
-            let slice =
-                ((rate * (min_ms as f64 / 1000.0) / ROUNDS as f64) as u64).clamp(256, 1 << 20);
-            let mut secs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-            for round in 0..ROUNDS {
-                for k in 0..TIERS.len() {
-                    // Rotate which tier goes first each round.
-                    let ti = (round + k) % TIERS.len();
-                    secs[ti].push(timed_fixed_invocations(w.as_ref(), &spec, &*engines[ti], slice));
-                }
-            }
-            let rate_of = |i: usize| slice as f64 / median(&secs[i]).max(1e-9);
-            let (interp, pre, jit) = (rate_of(0), rate_of(1), rate_of(2));
+            let (slice, rates) = interleaved_rates(w.as_ref(), &spec, &ExecTier::ALL, min_ms);
+            let (interp, pre, jit) = (rates[0], rates[1], rates[2]);
             let speedup = jit / pre.max(1e-9);
             if speedup < 1.0 {
                 slower += 1;
@@ -518,7 +465,7 @@ fn jit_bench(
                 ("workload", Json::Str(w.name().to_owned())),
                 ("machine", Json::Str(kind.name().to_owned())),
                 ("invocations_per_slice", Json::U(slice)),
-                ("rounds", Json::U(ROUNDS as u64)),
+                ("rounds", Json::U(AB_ROUNDS as u64)),
                 ("interp_per_sec", Json::F(interp)),
                 ("predecoded_per_sec", Json::F(pre)),
                 ("jit_per_sec", Json::F(jit)),
@@ -811,18 +758,58 @@ fn timed_fixed_invocations(
     start.elapsed().as_secs_f64()
 }
 
+/// Rounds of interleaved slices in the `--jit` and `--costmodel` A/B.
+const AB_ROUNDS: usize = 5;
+
+/// Invocations/sec of the -O3 version of `w` on the engine of each of
+/// `tiers`, all built from one prepared version: `AB_ROUNDS` rounds of
+/// one fixed-work slice per engine, rotating which engine goes first
+/// each round so drift favours none, and the median per engine. The
+/// last tier is the engine under test: 64 untimed invocations on it
+/// materialize the argument stream, then 512 on the predecoded engine
+/// size the slice so each runs roughly `min_ms / AB_ROUNDS`. Returns the
+/// slice and the rates in `tiers` order.
+fn interleaved_rates(
+    w: &dyn Workload,
+    spec: &MachineSpec,
+    tiers: &[ExecTier],
+    min_ms: u64,
+) -> (u64, Vec<f64>) {
+    let pv = prepare_o3(w, spec);
+    let engines: Vec<_> =
+        tiers.iter().map(|&t| build_engine(pv.clone(), t, &Tracer::disabled())).collect();
+    let pre = tiers
+        .iter()
+        .position(|&t| t == ExecTier::Predecoded)
+        .expect("a predecoded engine to calibrate on");
+    let _ = timed_fixed_invocations(w, spec, &*engines[engines.len() - 1], 64);
+    let warm = timed_fixed_invocations(w, spec, &*engines[pre], 512);
+    let rate = 512.0 / warm.max(1e-9);
+    let slice = ((rate * (min_ms as f64 / 1000.0) / AB_ROUNDS as f64) as u64).clamp(256, 1 << 20);
+    let mut secs = vec![Vec::with_capacity(AB_ROUNDS); engines.len()];
+    for round in 0..AB_ROUNDS {
+        for k in 0..engines.len() {
+            let i = (round + k) % engines.len();
+            secs[i].push(timed_fixed_invocations(w, spec, &*engines[i], slice));
+        }
+    }
+    (slice, secs.iter().map(|s| slice as f64 / median(s).max(1e-9)).collect())
+}
+
 fn median(xs: &[f64]) -> f64 {
     let mut v = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
 }
 
-/// The metrics-overhead gate behind `--obs`. Interleaves metrics-on and
-/// metrics-off slices of the same fixed invocation count (interleaving
-/// cancels thermal/frequency drift; medians shrug off outlier slices),
-/// writes `json_path`, and returns whether the median on-vs-off overhead
-/// stayed at or under `gate_pct`. Measures `tier`'s engine (the default
-/// jit unless `--tier` or `PEAK_TIER` says otherwise).
+/// The metrics-overhead gate behind `--obs`. Runs pairs of back-to-back
+/// metrics-on and metrics-off slices of the same fixed invocation count,
+/// writes `json_path`, and returns whether the median over pairs of the
+/// on/off time ratio exceeds 1 by at most `gate_pct` percent. A pair's
+/// two slices share whatever the host was doing at the time, so its
+/// ratio cancels a host slowdown spanning both, and the median drops the
+/// pairs a slowdown split. Measures `tier`'s engine (the default jit
+/// unless `--tier` says otherwise).
 fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> bool {
     use peak_obs::metrics;
 
@@ -849,8 +836,8 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> boo
         }
     }
     metrics::set_enabled(restore);
-    let (med_on, med_off) = (median(&on), median(&off));
-    let overhead_pct = (med_on - med_off) / med_off.max(1e-9) * 100.0;
+    let ratios: Vec<f64> = on.iter().zip(&off).map(|(a, b)| a / b.max(1e-9)).collect();
+    let overhead_pct = (median(&ratios) - 1.0) * 100.0;
     let pass = overhead_pct <= gate_pct;
     let doc = Json::obj(vec![
         ("workload", Json::Str("swim".to_owned())),
@@ -860,8 +847,6 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> boo
         ("pairs", Json::U(PAIRS as u64)),
         ("on_secs", Json::Arr(on.iter().map(|&s| Json::F(s)).collect())),
         ("off_secs", Json::Arr(off.iter().map(|&s| Json::F(s)).collect())),
-        ("median_on_secs", Json::F(med_on)),
-        ("median_off_secs", Json::F(med_off)),
         ("overhead_pct", Json::F(overhead_pct)),
         ("gate_pct", Json::F(gate_pct)),
         ("pass", Json::Bool(pass)),
@@ -872,7 +857,7 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> boo
     println!();
     println!(
         "obs overhead gate — {slice} invocations/slice × {PAIRS} interleaved pairs: \
-         metrics on {med_on:.4}s vs off {med_off:.4}s → {overhead_pct:+.2}% (gate {gate_pct}%)"
+         median on/off time ratio → {overhead_pct:+.2}% (gate {gate_pct}%)"
     );
     println!("wrote {json_path}");
     if !pass {

@@ -91,21 +91,14 @@ impl<'w> RunHarness<'w> {
         noise_seed: u64,
         faults: Option<FaultPlan>,
     ) -> Self {
-        Self::with_stream_mode(
-            workload,
-            ds,
-            spec,
-            noise_seed,
-            faults,
-            crate::stream_cache::enabled(),
-        )
+        Self::with_stream_mode(workload, ds, spec, noise_seed, faults, true)
     }
 
-    /// [`RunHarness::with_faults`] with the argument-stream mode forced:
-    /// `memoized = true` replays the pooled recorded stream, `false`
-    /// runs the live generator per invocation. The public constructors
-    /// follow `PEAK_ARG_STREAM`; this exists for the differential suite
-    /// that proves the two modes observably identical.
+    /// [`RunHarness::with_faults`] with the argument-stream mode chosen:
+    /// `memoized = true` replays the pooled recorded stream (what every
+    /// other constructor does), `false` runs the live generator per
+    /// invocation. The live generator is the reference the differential
+    /// suite proves replay observably identical to.
     pub fn with_stream_mode(
         workload: &'w dyn Workload,
         ds: Dataset,
@@ -202,10 +195,10 @@ impl<'w> RunHarness<'w> {
     /// Execute one TS invocation, surfacing failures (including injected
     /// version crashes) as data instead of panicking.
     ///
-    /// `version` is an engine already built for its tier (see
-    /// [`VersionCache`](crate::VersionCache)): lowered code by default,
-    /// a [`PreparedVersion`](peak_sim::PreparedVersion) for the
-    /// predecoded tier or a version whose lowering declined. The harness
+    /// `version` is an engine already built (see
+    /// [`VersionCache`](crate::VersionCache)): lowered code, or a
+    /// [`PreparedVersion`](peak_sim::PreparedVersion) where lowering
+    /// declined or a tier comparison built one. The harness
     /// runs it as given and counts the invocation against its tier; all
     /// engines are bit-identical in results, cycles, and machine state.
     pub fn try_execute(

@@ -13,7 +13,7 @@ use crate::sched::Pool;
 use crate::stats::{least_sampled_open, trimmed_rows, Window};
 use crate::version_cache::{VersionCache, VersionKey};
 use peak_obs::{event, Tracer};
-use peak_opt::OptConfig;
+use peak_opt::{CompiledVersion, OptConfig};
 use peak_sim::{
     ExecError, ExecOptions, FaultConfig, FaultPlan, MachineSpec, SimMetrics, TierBackend,
 };
@@ -154,29 +154,8 @@ impl<'w> TuningSetup<'w> {
         if instrumented && self.consult.mbr.is_none() {
             return;
         }
-        let requests: Vec<_> = cfgs
-            .iter()
-            .map(|&cfg| {
-                let key = if instrumented {
-                    VersionKey::instrumented(self.workload, cfg, self.spec.kind)
-                } else {
-                    VersionKey::plain(self.workload, cfg, self.spec.kind)
-                };
-                let workload = self.workload;
-                let consult = self.consult.clone();
-                let compile = move || {
-                    let (prog, ts) = if instrumented {
-                        let m =
-                            consult.mbr.as_ref().expect("instrumented version needs MBR model");
-                        (&m.instrumented, m.ts)
-                    } else {
-                        (workload.program(), workload.ts())
-                    };
-                    crate::compile::compile_validated(prog, ts, &cfg)
-                };
-                (key, compile)
-            })
-            .collect();
+        let requests =
+            cfgs.iter().map(|&cfg| self.version_request(cfg, instrumented)).collect();
         VersionCache::global().warm(&self.pool, &self.spec, &self.tracer, requests);
     }
 
@@ -251,12 +230,23 @@ impl<'w> TuningSetup<'w> {
     /// [`VersionCache`] are shared across setups, search rounds, rating
     /// retries, the degradation cascade, and checkpoint resume.
     pub fn version(&mut self, cfg: OptConfig, instrumented: bool) -> Arc<dyn TierBackend> {
+        let (key, compile) = self.version_request(cfg, instrumented);
+        VersionCache::global().get_or_prepare(key, &self.spec, &self.tracer, compile)
+    }
+
+    /// The cache key of version `cfg` and the compile that builds it, from
+    /// the workload's TS or, when `instrumented`, the MBR-instrumented TS.
+    fn version_request(
+        &self,
+        cfg: OptConfig,
+        instrumented: bool,
+    ) -> (VersionKey, impl FnOnce() -> CompiledVersion + Send + '_) {
         let key = if instrumented {
             VersionKey::instrumented(self.workload, cfg, self.spec.kind)
         } else {
             VersionKey::plain(self.workload, cfg, self.spec.kind)
         };
-        VersionCache::global().get_or_prepare(key, &self.spec, &self.tracer, || {
+        let compile = move || {
             let (prog, ts) = if instrumented {
                 let m = self.consult.mbr.as_ref().expect("instrumented version needs MBR model");
                 (&m.instrumented, m.ts)
@@ -264,7 +254,8 @@ impl<'w> TuningSetup<'w> {
                 (self.workload.program(), self.workload.ts())
             };
             crate::compile::compile_validated(prog, ts, &cfg)
-        })
+        };
+        (key, compile)
     }
 
     /// Start a fresh application run (a new process). This is the

@@ -8,25 +8,14 @@
 //! post-setup image and replays recorded writes instead of re-running
 //! the generator.
 //!
-//! Set `PEAK_ARG_STREAM=off` (or `0`) to disable memoization and run
-//! the live generator per invocation (the reference behaviour the
-//! differential suite compares against).
+//! The live generator stays as the reference the differential suite
+//! compares replay against
+//! ([`RunHarness::with_stream_mode`](crate::RunHarness::with_stream_mode)).
 
 use peak_workloads::stream::ArgStream;
 use peak_workloads::{Dataset, Workload};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Whether harnesses should use memoized streams (default yes).
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !matches!(
-            std::env::var("PEAK_ARG_STREAM").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
 
 type Slot = Arc<OnceLock<Arc<ArgStream>>>;
 

@@ -1,18 +1,20 @@
 //! Execution-tier glue: builds the engine a version runs on and counts
 //! tier telemetry in the global metrics registry.
 //!
-//! [`build_engine`] is the one place a tier is chosen. The version cache
-//! calls it once per version, when the entry is built: a jit-tier
-//! version is lowered there and only the lowered code is kept; a version
-//! whose lowering declines keeps its predecoded engine for good (the
-//! per-version fallback the tier ladder promises), emits one `jit.deopt`
-//! trace event and bumps `core.jit.deopts`. The run harness just
-//! executes whatever engine it is handed. The metric names are:
+//! [`build_engine`] is the one place an engine is built. The version
+//! cache calls it for the jit tier once per version, when the entry is
+//! built: the version is lowered there and only the lowered code is
+//! kept; a version whose lowering declines keeps its predecoded engine
+//! for good (the per-version fallback the tier ladder promises), emits
+//! one `jit.deopt` trace event and bumps `core.jit.deopts`. Tests and
+//! benches that compare tiers call it for the tier they name. The run
+//! harness just executes whatever engine it is handed. The metric names
+//! are:
 //!
 //! * `core.jit.blocks_compiled` — basic blocks lowered to threaded code
 //! * `core.jit.deopts` — versions that declined lowering (fell back)
-//! * `core.jit.tier_invocations.{interp,predecoded,jit}` — invocations
-//!   executed per engine (the predecoded count includes jit-tier
+//! * `core.jit.tier_invocations.{predecoded,jit}` — invocations executed
+//!   per production engine (the predecoded count is the jit tier's
 //!   fallback executions)
 
 use peak_obs::metrics::{self, Counter, MetricsRegistry};
@@ -30,17 +32,15 @@ macro_rules! cached_counter {
 
 /// Count one executed invocation against the tier of the engine that
 /// ran it (hot path: one relaxed flag load, then a cached-handle
-/// `fetch_add`).
+/// `fetch_add`). The interp engine is built only where tests compare
+/// tiers, so it has no counter.
 #[inline]
 pub(crate) fn count_tier(engine: &dyn TierBackend) {
     if !metrics::enabled() {
         return;
     }
     match engine.tier() {
-        ExecTier::Interp => cached_counter!(
-            "core.jit.tier_invocations.interp",
-            "TS invocations executed by the slow interpreter tier"
-        ),
+        ExecTier::Interp => return,
         ExecTier::Predecoded => cached_counter!(
             "core.jit.tier_invocations.predecoded",
             "TS invocations executed by the predecoded tier (includes jit fallback)"
@@ -57,10 +57,6 @@ pub(crate) fn count_tier(engine: &dyn TierBackend) {
 /// stats snapshots always carry them, even before the first jit-tier
 /// invocation. Called by the serve daemon's stats path.
 pub fn register_jit_metrics() {
-    cached_counter!(
-        "core.jit.tier_invocations.interp",
-        "TS invocations executed by the slow interpreter tier"
-    );
     cached_counter!(
         "core.jit.tier_invocations.predecoded",
         "TS invocations executed by the predecoded tier (includes jit fallback)"

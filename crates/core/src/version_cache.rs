@@ -10,19 +10,18 @@
 //! pure functions of their inputs: the workload's program is a fixed
 //! artifact, the optimization pipeline is deterministic, and register
 //! allocation depends only on the machine spec. So one shared cache keyed
-//! by (workload, TS, instrumented?, config bits, machine kind, tier) can
+//! by (workload, TS, instrumented?, config bits, machine kind) can
 //! hand out `Arc<dyn TierBackend>` clones forever without changing a
 //! single simulated cycle — the "never compile the same version twice"
 //! amortization that FOGA-style flag-evaluation caches and the Collective
 //! Tuning Initiative build their tuning-time wins on.
 //!
-//! Each entry is built for its key's tier, once, by
-//! [`build_engine`](crate::build_engine): under the default jit tier the
-//! version is compiled, prepared and lowered, and only the lowered code
-//! is kept — the compiled IR and the decoded blocks are dropped. A
-//! version whose lowering declines keeps its predecoded engine. The run
-//! harness executes entries as they are; no tier decision is left for
-//! run time.
+//! Each entry is built once, by [`build_engine`](crate::build_engine)
+//! for the jit tier: the version is compiled, prepared and lowered, and
+//! only the lowered code is kept — the compiled IR and the decoded
+//! blocks are dropped. A version whose lowering declines keeps its
+//! predecoded engine. The run harness executes entries as they are; no
+//! tier decision is left for run time.
 //!
 //! The cache is process-wide ([`VersionCache::global`]) because the
 //! experiment drivers (`table1`, `figure7`) fan benchmarks out across a
@@ -66,7 +65,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Identity of one cached version, built for one execution tier.
+/// Identity of one cached version.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VersionKey {
     /// Benchmark name (workloads are fixed artifacts, so the name
@@ -82,16 +81,10 @@ pub struct VersionKey {
     pub config_bits: u64,
     /// Target machine (register allocation and pre-decoding depend on it).
     pub machine: MachineKind,
-    /// Execution tier the version is built for: the entry is that
-    /// tier's engine (lowered code for jit, the prepared version for
-    /// predecoded, the IR walker for interp), so tier-forced A/B
-    /// drivers (`hotpath --jit`) get genuinely different entries.
-    pub tier: ExecTier,
 }
 
 impl VersionKey {
-    /// Key for the plain (uninstrumented) TS of `workload`, under the
-    /// process default execution tier (`PEAK_TIER`).
+    /// Key for the plain (uninstrumented) TS of `workload`.
     pub fn plain(workload: &dyn Workload, cfg: OptConfig, machine: MachineKind) -> Self {
         VersionKey {
             workload: workload.name(),
@@ -99,19 +92,12 @@ impl VersionKey {
             instrumented: false,
             config_bits: cfg.bits(),
             machine,
-            tier: ExecTier::from_env(),
         }
     }
 
     /// Key for the MBR-instrumented TS of `workload`.
     pub fn instrumented(workload: &dyn Workload, cfg: OptConfig, machine: MachineKind) -> Self {
         VersionKey { instrumented: true, ..Self::plain(workload, cfg, machine) }
-    }
-
-    /// The same key pinned to an explicit execution tier (tier-forced
-    /// drivers and A/B benchmarks).
-    pub fn with_tier(self, tier: ExecTier) -> Self {
-        VersionKey { tier, ..self }
     }
 }
 
@@ -124,8 +110,8 @@ pub struct CacheStats {
     /// Lookups that did not find a ready version (each triggers or waits
     /// for exactly one compile).
     pub misses: u64,
-    /// Builds (compile, prepare and, for jit keys, lower) actually
-    /// performed. With the in-flight gate this counts *unique work*:
+    /// Builds (compile, prepare, lower) actually performed. With the
+    /// in-flight gate this counts *unique work*:
     /// `misses - compiles` lookups were coalesced onto a concurrent
     /// build of the same key.
     pub compiles: u64,
@@ -224,8 +210,8 @@ impl Drop for BuildGuard<'_> {
 /// whose run completes.
 type ProductionSlot = Arc<OnceLock<u64>>;
 
-/// A version cache: `VersionKey` → `Arc<dyn TierBackend>` (the engine
-/// of the key's tier), with in-flight de-duplication of concurrent
+/// A version cache: `VersionKey` → `Arc<dyn TierBackend>` (the
+/// version's engine), with in-flight de-duplication of concurrent
 /// builds, plus the production-run memo `(VersionKey, Dataset)` → true
 /// cycles.
 #[derive(Default)]
@@ -261,8 +247,9 @@ impl VersionCache {
 
     /// Return the engine for `key`, building it on first use: `compile`,
     /// then [`PreparedVersion::prepare`], then
-    /// [`build_engine`](crate::build_engine) for `key.tier` (which
-    /// lowers a jit key and traces a declined lowering on `tracer`).
+    /// [`build_engine`](crate::build_engine) for the jit tier (which
+    /// lowers the version, or keeps its predecoded engine and traces the
+    /// declined lowering on `tracer`).
     /// `spec.kind` must match `key.machine` — the artifact is
     /// machine-specific.
     ///
@@ -340,7 +327,7 @@ impl VersionCache {
         // building slot keeps racing requesters parked on the gate.
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let pv = PreparedVersion::prepare(compile(), spec);
-        let engine = crate::tier::build_engine(pv, guard.key.tier, tracer);
+        let engine = crate::tier::build_engine(pv, ExecTier::Jit, tracer);
         self.map
             .lock()
             .expect("version cache lock")
@@ -352,7 +339,7 @@ impl VersionCache {
     }
 
     /// Shorthand: build (or fetch) the plain TS of `workload` under
-    /// `cfg` for `spec`, on the process default tier (untraced).
+    /// `cfg` for `spec` (untraced).
     pub fn prepare_workload(
         &self,
         workload: &dyn Workload,
@@ -506,8 +493,8 @@ mod tests {
     use peak_workloads::swim::SwimCalc3;
     use peak_workloads::Dataset;
 
-    fn key(w: &dyn Workload, cfg: OptConfig, tier: ExecTier) -> VersionKey {
-        VersionKey::plain(w, cfg, MachineKind::SparcII).with_tier(tier)
+    fn key(w: &dyn Workload, cfg: OptConfig) -> VersionKey {
+        VersionKey::plain(w, cfg, MachineKind::SparcII)
     }
 
     fn untraced() -> Tracer {
@@ -546,50 +533,20 @@ mod tests {
         );
     }
 
-    /// Keys must separate execution tiers: each tier builds a different
-    /// engine for the same config.
-    #[test]
-    fn keys_separate_execution_tier() {
-        let base = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
-        let jit = base.clone().with_tier(ExecTier::Jit);
-        let interp = base.clone().with_tier(ExecTier::Interp);
-        let pre = base.clone().with_tier(ExecTier::Predecoded);
-        assert_ne!(jit, pre);
-        assert_ne!(jit, interp);
-        assert_ne!(interp, pre);
-
-        let cache = VersionCache::new();
-        let w = SwimCalc3::new();
-        let spec = MachineSpec::sparc_ii();
-        for tier in ExecTier::ALL {
-            let engine =
-                cache.get_or_prepare(key(&w, OptConfig::o3(), tier), &spec, &untraced(), || {
-                    peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3())
-                });
-            assert_eq!(engine.tier(), tier, "entry is the engine of its key's tier");
-        }
-        assert_eq!(cache.len(), 3, "one entry per tier");
-        assert_eq!(cache.stats().compiles, 3);
-    }
-
-    /// A jit-tier entry is lowered when it is built, by `get_or_prepare`
-    /// and by `warm` alike, and keeps no interpretive body.
+    /// An entry is lowered when it is built, by `get_or_prepare` and by
+    /// `warm` alike, and keeps no interpretive body.
     #[test]
     fn jit_entries_are_lowered_at_build() {
         let cache = VersionCache::new();
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
         let (prog, ts, o0) = (w.program(), w.ts(), OptConfig::o0());
-        let got = cache.get_or_prepare(
-            key(&w, OptConfig::o3(), ExecTier::Jit),
-            &spec,
-            &untraced(),
-            || peak_opt::optimize(prog, ts, &OptConfig::o3()),
-        );
-        let requests =
-            vec![(key(&w, o0, ExecTier::Jit), move || peak_opt::optimize(prog, ts, &o0))];
+        let got = cache.get_or_prepare(key(&w, OptConfig::o3()), &spec, &untraced(), || {
+            peak_opt::optimize(prog, ts, &OptConfig::o3())
+        });
+        let requests = vec![(key(&w, o0), move || peak_opt::optimize(prog, ts, &o0))];
         cache.warm(&Pool::with_threads(2), &spec, &untraced(), requests);
-        let warmed = cache.get_or_prepare(key(&w, o0, ExecTier::Jit), &spec, &untraced(), || {
+        let warmed = cache.get_or_prepare(key(&w, o0), &spec, &untraced(), || {
             unreachable!("a warmed key hits")
         });
         for engine in [got, warmed] {
@@ -598,9 +555,8 @@ mod tests {
         }
     }
 
-    /// Field equality with a fresh compile on the predecoded-tier entry
-    /// (the tier that keeps its prepared body); cycle and return
-    /// equality on the default-tier entry.
+    /// The cached entry executes like a fresh compile: the same cycles
+    /// and return on a run's first invocation.
     #[test]
     fn cached_version_matches_fresh_compile() {
         let cache = VersionCache::new();
@@ -610,53 +566,40 @@ mod tests {
             peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()),
             &spec,
         );
-        let pre = cache.get_or_prepare(
-            key(&w, OptConfig::o3(), ExecTier::Predecoded),
-            &spec,
-            &untraced(),
-            || crate::compile::compile_validated(w.program(), w.ts(), &OptConfig::o3()),
-        );
-        let cached = pre.prepared().expect("a predecoded entry keeps its prepared version");
-        assert_eq!(cached.version.code_size, fresh.version.code_size);
-        assert_eq!(cached.spill_slot, fresh.spill_slot);
-        assert_eq!(cached.slot_base, fresh.slot_base);
-        assert_eq!(cached.live_across_calls, fresh.live_across_calls);
-        assert_eq!(cached.over_icache, fresh.over_icache);
-
-        let default = cache.prepare_workload(&w, &spec, OptConfig::o3());
+        let cached = cache.prepare_workload(&w, &spec, OptConfig::o3());
         let first_invocation = |engine: &dyn TierBackend| {
             let mut h = RunHarness::new(&w, Dataset::Train, &spec, 3);
             let args = h.next_args().expect("an invocation");
             let r = h.execute(engine, &args, &ExecOptions::default());
             (r.true_cycles, r.ret)
         };
-        assert_eq!(first_invocation(default.as_ref()), first_invocation(&fresh));
+        assert_eq!(first_invocation(cached.as_ref()), first_invocation(&fresh));
     }
 
-    /// The predecoded and jit entries of one config are the same version:
-    /// identical per-invocation results and machine state over a whole
-    /// train run.
+    /// A cached entry and a directly prepared version of one config are
+    /// the same version: identical per-invocation results and machine
+    /// state over a whole train run.
     #[test]
-    fn predecoded_and_jit_entries_agree_over_a_train_run() {
+    fn cached_entry_and_prepared_version_agree_over_a_train_run() {
         let cache = VersionCache::new();
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
         let cfg = OptConfig::o3().without(peak_opt::Flag::LoopUnroll);
-        let train_run = |tier: ExecTier| {
-            let engine = cache.get_or_prepare(key(&w, cfg, tier), &spec, &untraced(), || {
-                peak_opt::optimize(w.program(), w.ts(), &cfg)
-            });
-            assert_eq!(engine.tier(), tier);
+        let compile = || peak_opt::optimize(w.program(), w.ts(), &cfg);
+        let cached = cache.get_or_prepare(key(&w, cfg), &spec, &untraced(), compile);
+        assert_eq!(cached.tier(), ExecTier::Jit);
+        let prepared = PreparedVersion::prepare(compile(), &spec);
+        let train_run = |engine: &dyn TierBackend| {
             let mut h = RunHarness::new(&w, Dataset::Train, &spec, 5);
             let mut results = Vec::new();
             while let Some(args) = h.next_args() {
-                let r = h.execute(engine.as_ref(), &args, &ExecOptions::default());
+                let r = h.execute(engine, &args, &ExecOptions::default());
                 results.push((r.true_cycles, r.ret));
             }
             (results, SimMetrics::snapshot(&h.machine), h.mem.clone())
         };
-        let (pre, pre_state, pre_mem) = train_run(ExecTier::Predecoded);
-        let (jit, jit_state, jit_mem) = train_run(ExecTier::Jit);
+        let (pre, pre_state, pre_mem) = train_run(&prepared);
+        let (jit, jit_state, jit_mem) = train_run(cached.as_ref());
         assert_eq!(pre.len(), w.invocations(Dataset::Train));
         assert_eq!(pre, jit, "per-invocation cycles and returns");
         assert_eq!(pre_state, jit_state, "machine state");
@@ -820,6 +763,6 @@ mod tests {
             peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3())
         });
         assert_eq!(cache.len(), 1);
-        assert_eq!(v.tier(), key.tier, "the retried build produced the key's engine");
+        assert_eq!(v.tier(), ExecTier::Jit, "the retried build produced the lowered engine");
     }
 }

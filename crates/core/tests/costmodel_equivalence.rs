@@ -9,10 +9,12 @@
 //!   same args, same memory evolution, same per-invocation and
 //!   accumulated cycles, same cache/predictor state — across every
 //!   workload × dataset.
-//! - **Batched predictor commits** (jit tier) vs sequential updates
-//!   (predecoded tier): identical predictor tables, stats, and cycles
-//!   across repeated invocations with carried machine state, over the
-//!   passfuzz regression corpus and fresh generative programs.
+//! - **Predictor updates across engines**: the jit engine's and the
+//!   predecoded engine's updates at prepare-time table indices leave
+//!   identical predictor stats and cycles across repeated invocations
+//!   with carried machine state, over the passfuzz regression corpus and
+//!   fresh generative programs; all three engines agree on a workload
+//!   run through `RunHarness`.
 
 use peak_core::RunHarness;
 use peak_jit::JitOptions;
@@ -81,7 +83,7 @@ fn memoized_stream_matches_live_generation() {
     }
 }
 
-// ---- batched predictor commits across tiers ----
+// ---- predictor updates across tiers ----
 
 struct Entry {
     name: String,
@@ -130,8 +132,8 @@ fn parse_entry(path: &Path) -> Entry {
 
 /// Execute `engine` `reps` times against ONE carried machine state;
 /// returns per-invocation cycles plus final predictor stats. Carried
-/// state matters: batching must stay exact while the predictor table
-/// warms across invocations.
+/// state matters: the engines must stay in step while the predictor
+/// table warms across invocations.
 fn run_carried(
     engine: &dyn TierBackend,
     prog: &peak_ir::Program,
@@ -155,10 +157,10 @@ fn run_carried(
     (cycles, state.predictor.stats())
 }
 
-/// The jit tier's batched predictor commits vs the predecoded tier's
-/// per-branch updates, over the passfuzz corpus with carried state.
+/// The jit engine's predictor updates vs the predecoded engine's, over
+/// the passfuzz corpus with carried state.
 #[test]
-fn batched_predictor_matches_sequential_on_corpus() {
+fn jit_predictor_matches_predecoded_on_corpus() {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("corpus dir")
         .map(|d| d.unwrap().path())
@@ -178,10 +180,10 @@ fn batched_predictor_matches_sequential_on_corpus() {
     }
 }
 
-/// Same comparison over fresh generative programs (the batching gate's
-/// fuzz leg; `PEAK_COSTMODEL_SEEDS` scales it).
+/// Same comparison over fresh generative programs
+/// (`PEAK_COSTMODEL_SEEDS` scales it).
 #[test]
-fn batched_predictor_matches_sequential_on_fresh_seeds() {
+fn jit_predictor_matches_predecoded_on_fresh_seeds() {
     let seeds: u64 = std::env::var("PEAK_COSTMODEL_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())

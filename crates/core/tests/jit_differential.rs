@@ -2,128 +2,24 @@
 //!
 //! The tier ladder's contract is *bit-identical observables*: results,
 //! instrumentation counters, write logs, per-invocation `true_cycles`,
-//! and accumulated machine state may not differ between tiers. Three
-//! oracles pin the jit tier down:
+//! and accumulated machine state may not differ between tiers. The
+//! 42-scenario cycle golden checks the jit engine beside the others
+//! (`predecoded_differential`); two more oracles pin it down here:
 //!
-//! 1. **The predecoded cycle golden** — the exact same 42-scenario
-//!    golden that gates the predecoded executor
-//!    (`tests/goldens/exec_cycles.json`) must reproduce byte-for-byte
-//!    with the harness running lowered code. One golden, every tier.
-//! 2. **The passfuzz regression corpus** — every shrunk divergence the
+//! 1. **The passfuzz regression corpus** — every shrunk divergence the
 //!    differential-fuzz fleet ever found (`peak-opt`'s
 //!    `tests/corpus/*.ir`) replays through the jit backend and must
 //!    match the reference interpreter and the predecoded executor.
-//! 3. **Fresh generative programs** — `PEAK_JIT_FUZZ_SEEDS` seeds
+//! 2. **Fresh generative programs** — `PEAK_JIT_FUZZ_SEEDS` seeds
 //!    (default 300; CI cranks this up) of `fuzzgen` programs, each
 //!    compiled at O0 and O3 and compared against both oracles.
 
-use peak_core::RunHarness;
 use peak_jit::JitOptions;
-use peak_obs::Tracer;
-use peak_opt::{Flag, OptConfig};
-use peak_sim::{
-    AddressMap, ExecOptions, ExecTier, MachineSpec, MachineState, PreparedVersion, TierBackend,
-};
-use peak_util::Json;
-use peak_workloads::{fuzzgen, workload_by_name, Dataset, Workload};
+use peak_opt::OptConfig;
+use peak_sim::{AddressMap, ExecOptions, MachineSpec, MachineState, PreparedVersion, TierBackend};
+use peak_workloads::fuzzgen;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-
-const INVOCATIONS: usize = 6;
-
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens/exec_cycles.json");
-
-/// Same scenario grid as `predecoded_differential.rs` — the golden is
-/// shared, so the grids must stay in lockstep.
-fn scenario_configs() -> Vec<(&'static str, OptConfig)> {
-    vec![
-        ("o3", OptConfig::o3()),
-        ("o0", OptConfig::o0()),
-        ("o3-no-coalesce", OptConfig::o3().without(Flag::RegAllocCoalesce)),
-        ("o3-no-sched2", OptConfig::o3().without(Flag::ScheduleInsns2)),
-        ("o3-no-rename", OptConfig::o3().without(Flag::RenameRegisters)),
-        ("o3-no-delay", OptConfig::o3().without(Flag::DelayedBranch)),
-        ("o3-no-csave", OptConfig::o3().without(Flag::CallerSaves)),
-    ]
-}
-
-fn scenario_workloads() -> Vec<Box<dyn Workload>> {
-    ["swim", "vortex", "gzip"]
-        .iter()
-        .map(|n| workload_by_name(n).expect("known workload"))
-        .collect()
-}
-
-fn prepare(w: &dyn Workload, cfg: &OptConfig, spec: &MachineSpec) -> PreparedVersion {
-    PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), cfg), spec)
-}
-
-/// The predecoded differential's observation loop, on jit-tier engines.
-#[test]
-fn jit_tier_reproduces_exec_cycles_golden() {
-    let text = std::fs::read_to_string(GOLDEN)
-        .expect("golden missing: run predecoded_differential's regenerate test");
-    let golden = peak_util::from_str(&text).expect("golden parses");
-    let golden = golden.as_arr().expect("golden is an array");
-
-    let mut row = 0;
-    for w in scenario_workloads() {
-        for spec in [MachineSpec::sparc_ii(), MachineSpec::pentium_iv()] {
-            for (cname, cfg) in scenario_configs() {
-                let engine = peak_core::build_engine(
-                    prepare(w.as_ref(), &cfg, &spec),
-                    ExecTier::Jit,
-                    &Tracer::disabled(),
-                );
-                assert_eq!(engine.tier(), ExecTier::Jit, "scenario lowers");
-                let mut h = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 7);
-                let plain = ExecOptions::default();
-                let record = ExecOptions { record_writes: true, num_counters: 0 };
-                let mut cycles = Vec::new();
-                let mut recorded_cycles = Vec::new();
-                let mut writes_len = Vec::new();
-                for i in 0..INVOCATIONS {
-                    let args = h.next_args().expect("invocation budget");
-                    if i % 2 == 0 {
-                        let r = h.execute(&*engine, &args, &plain);
-                        cycles.push(r.true_cycles);
-                    } else {
-                        let r = h.execute(&*engine, &args, &record);
-                        recorded_cycles.push(r.true_cycles);
-                        writes_len.push(r.writes.len() as u64);
-                    }
-                }
-                let g = &golden[row];
-                row += 1;
-                let id = format!("{} / {} / {cname} [jit]", w.name(), spec.kind.name());
-                let gold_u64s = |key: &str| -> Vec<u64> {
-                    g.get(key)
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default()
-                };
-                assert_eq!(
-                    g.get("workload").and_then(Json::as_str),
-                    Some(w.name()),
-                    "scenario order drifted: {id}"
-                );
-                assert_eq!(gold_u64s("cycles"), cycles, "true_cycles drifted: {id}");
-                assert_eq!(
-                    gold_u64s("recorded_cycles"),
-                    recorded_cycles,
-                    "record_writes true_cycles drifted: {id}"
-                );
-                assert_eq!(gold_u64s("writes_len"), writes_len, "write log drifted: {id}");
-                assert_eq!(
-                    g.get("total_cycles").and_then(Json::as_u64),
-                    Some(h.cycles()),
-                    "run-total cycles drifted: {id}"
-                );
-            }
-        }
-    }
-    assert_eq!(row, golden.len(), "scenario grid out of lockstep with the golden");
-}
 
 // ---- passfuzz corpus replay through the jit backend ----
 

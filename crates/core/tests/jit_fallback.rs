@@ -1,8 +1,9 @@
-//! Per-version tier build through the version cache: a jit-tier entry is
+//! Per-version engine build through the version cache: an entry is
 //! lowered when it is built and runs lowered code from its first
 //! invocation; when lowering declines, the entry keeps its predecoded
-//! engine for good — with bit-identical results, one `jit.deopt` trace
-//! event, and the right metric deltas.
+//! engine for good — the version a fresh compile prepares, with
+//! bit-identical results, one `jit.deopt` trace event, and the right
+//! metric deltas.
 //!
 //! This lives in its own test binary because it manipulates
 //! process-global state (the `PEAK_JIT_MAX_STMTS` env knob and the
@@ -32,7 +33,7 @@ fn counter(name: &str) -> u64 {
 }
 
 fn jit_key(w: &dyn Workload, spec: &MachineSpec) -> VersionKey {
-    VersionKey::plain(w, OptConfig::o3(), spec.kind).with_tier(ExecTier::Jit)
+    VersionKey::plain(w, OptConfig::o3(), spec.kind)
 }
 
 fn compile(w: &dyn Workload) -> peak_opt::CompiledVersion {
@@ -69,7 +70,8 @@ fn declined_lowering_falls_back_to_predecoded_with_identical_results() {
     let spec = MachineSpec::sparc_ii();
 
     // Reference: the predecoded engine, same seed and argument stream.
-    let want = run(w.as_ref(), &spec, &PreparedVersion::prepare(compile(w.as_ref()), &spec));
+    let direct = PreparedVersion::prepare(compile(w.as_ref()), &spec);
+    let want = run(w.as_ref(), &spec, &direct);
 
     // Jit-tier entry against the throttled budget: lowering declines
     // once, at build, and the entry keeps its predecoded engine.
@@ -84,6 +86,15 @@ fn declined_lowering_falls_back_to_predecoded_with_identical_results() {
     let engine =
         cache.get_or_prepare(jit_key(w.as_ref(), &spec), &spec, &tracer, || compile(w.as_ref()));
     assert_eq!(engine.tier(), ExecTier::Predecoded, "declined version keeps its predecoded engine");
+    // The only entry that keeps a prepared version equals an uncached
+    // compile field by field.
+    let cached = engine.prepared().expect("a declined entry keeps its prepared version");
+    assert_eq!(cached.spill_slot, direct.spill_slot);
+    assert_eq!(cached.slot_base, direct.slot_base);
+    assert_eq!(cached.live_across_calls, direct.live_across_calls);
+    assert_eq!(cached.over_icache, direct.over_icache);
+    assert_eq!(cached.version.code_size, direct.version.code_size);
+    assert_eq!(cached.version.config.bits(), direct.version.config.bits());
     let again = cache.get_or_prepare(jit_key(w.as_ref(), &spec), &spec, &tracer, || {
         unreachable!("the declined entry is cached, not rebuilt")
     });

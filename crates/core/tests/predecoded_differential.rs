@@ -13,11 +13,9 @@
 //!    pre-pre-decode executor; any drift means the performance model
 //!    changed, which invalidates every number in the paper tables.
 //!
-//! Every scenario runs on the engine of the process tier (`PEAK_TIER`,
-//! default jit), built the way the version cache builds it, so the
-//! suite is one golden for every engine: CI re-runs it wholesale with
-//! `PEAK_TIER=predecoded` to keep the predecoded executor — the jit
-//! tier's fallback — under the full grid.
+//! Both oracles check every engine — interp, predecoded (the jit
+//! tier's fallback) and jit — each built by `build_engine` for its tier,
+//! so the suite is one golden for every engine.
 //!
 //! Regenerate the golden (only when the cycle model changes
 //! *intentionally*) with:
@@ -73,9 +71,11 @@ fn prepare(w: &dyn Workload, cfg: &OptConfig, spec: &MachineSpec) -> PreparedVer
     PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), cfg), spec)
 }
 
-/// The process tier's engine for `pv`.
-fn engine(pv: PreparedVersion) -> Arc<dyn TierBackend> {
-    peak_core::build_engine(pv, ExecTier::from_env(), &Tracer::disabled())
+/// `tier`'s engine for `pv`; every scenario lowers, so none falls back.
+fn engine(pv: PreparedVersion, tier: ExecTier) -> Arc<dyn TierBackend> {
+    let engine = peak_core::build_engine(pv, tier, &Tracer::disabled());
+    assert_eq!(engine.tier(), tier, "the scenario runs on the engine it names");
+    engine
 }
 
 /// One scenario's observed numbers: per-invocation true cycles (with
@@ -91,12 +91,12 @@ struct Observed {
     total_cycles: u64,
 }
 
-fn observe_all() -> Vec<Observed> {
+fn observe_all(tier: ExecTier) -> Vec<Observed> {
     let mut out = Vec::new();
     for w in scenario_workloads() {
         for spec in machines() {
             for (cname, cfg) in scenario_configs() {
-                let engine = engine(prepare(w.as_ref(), &cfg, &spec));
+                let engine = engine(prepare(w.as_ref(), &cfg, &spec), tier);
                 let mut h = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 7);
                 let plain = ExecOptions::default();
                 let record = ExecOptions { record_writes: true, num_counters: 0 };
@@ -160,7 +160,7 @@ fn observed_to_json(rows: &[Observed]) -> Json {
 #[test]
 #[ignore]
 fn regenerate_exec_cycles_golden() {
-    let rows = observe_all();
+    let rows = observe_all(ExecTier::default());
     let json = peak_util::to_string_pretty(&observed_to_json(&rows));
     std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();
     std::fs::write(GOLDEN, json + "\n").unwrap();
@@ -173,71 +173,75 @@ fn true_cycles_bit_identical_to_golden() {
         .expect("golden missing: run the ignored regenerate_exec_cycles_golden test");
     let golden = peak_util::from_str(&text).expect("golden parses");
     let golden = golden.as_arr().expect("golden is an array");
-    let rows = observe_all();
-    assert_eq!(golden.len(), rows.len(), "scenario list drifted; regenerate the golden");
-    for (g, r) in golden.iter().zip(&rows) {
-        let id = format!("{} / {} / {}", r.workload, r.machine, r.config);
-        assert_eq!(g.get("workload").and_then(Json::as_str), Some(r.workload), "{id}");
-        assert_eq!(g.get("machine").and_then(Json::as_str), Some(r.machine), "{id}");
-        assert_eq!(g.get("config_bits").and_then(Json::as_u64), Some(r.config_bits), "{id}");
-        let gold_u64s = |key: &str| -> Vec<u64> {
-            g.get(key)
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                .unwrap_or_default()
-        };
-        assert_eq!(gold_u64s("cycles"), r.cycles, "true_cycles drifted: {id}");
-        assert_eq!(
-            gold_u64s("recorded_cycles"),
-            r.recorded_cycles,
-            "record_writes true_cycles drifted: {id}"
-        );
-        assert_eq!(gold_u64s("writes_len"), r.writes_len, "write log drifted: {id}");
-        assert_eq!(
-            g.get("total_cycles").and_then(Json::as_u64),
-            Some(r.total_cycles),
-            "run-total cycles drifted: {id}"
-        );
+    for tier in ExecTier::ALL {
+        let rows = observe_all(tier);
+        assert_eq!(golden.len(), rows.len(), "scenario list drifted; regenerate the golden");
+        for (g, r) in golden.iter().zip(&rows) {
+            let id = format!("{} / {} / {} [{tier}]", r.workload, r.machine, r.config);
+            assert_eq!(g.get("workload").and_then(Json::as_str), Some(r.workload), "{id}");
+            assert_eq!(g.get("machine").and_then(Json::as_str), Some(r.machine), "{id}");
+            assert_eq!(g.get("config_bits").and_then(Json::as_u64), Some(r.config_bits), "{id}");
+            let gold_u64s = |key: &str| -> Vec<u64> {
+                g.get(key)
+                    .and_then(Json::as_arr)
+                    .map(|a| a.iter().filter_map(Json::as_u64).collect())
+                    .unwrap_or_default()
+            };
+            assert_eq!(gold_u64s("cycles"), r.cycles, "true_cycles drifted: {id}");
+            assert_eq!(
+                gold_u64s("recorded_cycles"),
+                r.recorded_cycles,
+                "record_writes true_cycles drifted: {id}"
+            );
+            assert_eq!(gold_u64s("writes_len"), r.writes_len, "write log drifted: {id}");
+            assert_eq!(
+                g.get("total_cycles").and_then(Json::as_u64),
+                Some(r.total_cycles),
+                "run-total cycles drifted: {id}"
+            );
+        }
     }
 }
 
-/// The executor and the reference interpreter, fed the same optimized
+/// Every engine and the reference interpreter, fed the same optimized
 /// program and the same deterministic invocation stream, must agree on
 /// return values, counters, and memory side effects — the cycle model is
 /// observation-only.
 #[test]
 fn executor_matches_reference_interpreter() {
-    for w in scenario_workloads() {
-        for (cname, cfg) in [("o3", OptConfig::o3()), ("o0", OptConfig::o0())] {
-            let spec = MachineSpec::sparc_ii();
-            let pv = prepare(w.as_ref(), &cfg, &spec);
-            let engine = engine(pv.clone());
-            let interp = peak_ir::interp::Interp::default();
-            // Two harnesses, same dataset: identical args + memory streams.
-            let mut h_exec = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 1);
-            let mut h_ref = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 2);
-            let opts = ExecOptions { record_writes: true, num_counters: 0 };
-            for _ in 0..INVOCATIONS {
-                let args_e = h_exec.next_args().expect("budget");
-                let args_r = h_ref.next_args().expect("budget");
-                assert_eq!(args_e, args_r, "{}: invocation streams diverged", w.name());
-                let got = h_exec.execute(&*engine, &args_e, &opts);
-                let want = interp
-                    .run(&pv.version.program, pv.version.func, &args_r, &mut h_ref.mem)
-                    .expect("reference interpreter succeeds");
-                let id = format!("{} / {cname}", w.name());
-                assert_eq!(got.ret, want.ret, "return value diverged: {id}");
-                assert_eq!(got.counters, want.counters, "counters diverged: {id}");
-            }
-            // Memory side effects identical across the whole run.
-            for m in 0..pv.version.program.mems.len() {
-                let m = peak_ir::MemId(m as u32);
-                assert_eq!(
-                    h_exec.mem.buf(m),
-                    h_ref.mem.buf(m),
-                    "{}: memory region {m:?} diverged",
-                    w.name()
-                );
+    for tier in ExecTier::ALL {
+        for w in scenario_workloads() {
+            for (cname, cfg) in [("o3", OptConfig::o3()), ("o0", OptConfig::o0())] {
+                let spec = MachineSpec::sparc_ii();
+                let pv = prepare(w.as_ref(), &cfg, &spec);
+                let engine = engine(pv.clone(), tier);
+                let interp = peak_ir::interp::Interp::default();
+                // Two harnesses, same dataset: identical args + memory streams.
+                let mut h_exec = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 1);
+                let mut h_ref = RunHarness::new(w.as_ref(), Dataset::Train, &spec, 2);
+                let opts = ExecOptions { record_writes: true, num_counters: 0 };
+                for _ in 0..INVOCATIONS {
+                    let args_e = h_exec.next_args().expect("budget");
+                    let args_r = h_ref.next_args().expect("budget");
+                    assert_eq!(args_e, args_r, "{}: invocation streams diverged", w.name());
+                    let got = h_exec.execute(&*engine, &args_e, &opts);
+                    let want = interp
+                        .run(&pv.version.program, pv.version.func, &args_r, &mut h_ref.mem)
+                        .expect("reference interpreter succeeds");
+                    let id = format!("{} / {cname} [{tier}]", w.name());
+                    assert_eq!(got.ret, want.ret, "return value diverged: {id}");
+                    assert_eq!(got.counters, want.counters, "counters diverged: {id}");
+                }
+                // Memory side effects identical across the whole run.
+                for m in 0..pv.version.program.mems.len() {
+                    let m = peak_ir::MemId(m as u32);
+                    assert_eq!(
+                        h_exec.mem.buf(m),
+                        h_ref.mem.buf(m),
+                        "{} [{tier}]: memory region {m:?} diverged",
+                        w.name()
+                    );
+                }
             }
         }
     }

@@ -1,19 +1,15 @@
 //! Property: a [`VersionCache`] hit is indistinguishable from a fresh
-//! compile. For random points of the 2^38 flag space, (a) the cached
-//! predecoded-tier `PreparedVersion` must be byte-equal in every prepared
-//! field to an uncached `optimize` + `prepare` of the same inputs, and
-//! (b) the cached default-tier entry (lowered code) must execute to the
-//! same return value and the same bit-identical `true_cycles` from
-//! identical machine state. This is what makes the cache a pure
-//! amortization — the paper's tuning-time savings with zero effect on any
-//! rating.
+//! compile. For random points of the 2^38 flag space, the cached entry
+//! (lowered code) must execute to the same return value and the same
+//! bit-identical `true_cycles` as an uncached `optimize` + `prepare` of
+//! the same inputs, from identical machine state. This is what makes the
+//! cache a pure amortization — the paper's tuning-time savings with zero
+//! effect on any rating. (`jit_fallback` checks the prepared fields of
+//! the one kind of entry that keeps them, a declined lowering.)
 
 use peak_core::{VersionCache, VersionKey};
-use peak_obs::Tracer;
 use peak_opt::OptConfig;
-use peak_sim::{
-    ExecOptions, ExecTier, MachineKind, MachineSpec, MachineState, PreparedVersion, TierBackend,
-};
+use peak_sim::{ExecOptions, MachineKind, MachineSpec, MachineState, PreparedVersion, TierBackend};
 use peak_workloads::{swim::SwimCalc3, Workload};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -56,22 +52,9 @@ proptest! {
         let hit = cache.prepare_workload(&w, &spec, cfg);
         prop_assert!(std::sync::Arc::ptr_eq(&miss, &hit));
         prop_assert_eq!(cache.stats().hits, 1);
-        // The cached predecoded-tier artifact equals an uncached compile
-        // field by field...
-        let direct = fresh(&w, cfg, &spec);
-        let key = VersionKey::plain(&w, cfg, spec.kind).with_tier(ExecTier::Predecoded);
-        let pre = cache.get_or_prepare(key, &spec, &Tracer::disabled(), || {
-            peak_core::compile_validated(w.program(), w.ts(), &cfg)
-        });
-        let cached = pre.prepared().expect("a predecoded entry keeps its prepared version");
-        prop_assert_eq!(&cached.spill_slot, &direct.spill_slot);
-        prop_assert_eq!(&cached.slot_base, &direct.slot_base);
-        prop_assert_eq!(&cached.live_across_calls, &direct.live_across_calls);
-        prop_assert_eq!(cached.over_icache, direct.over_icache);
-        prop_assert_eq!(cached.version.code_size, direct.version.code_size);
-        prop_assert_eq!(cached.version.config.bits(), direct.version.config.bits());
-        // ...and the default-tier hit executes bit-identically from
+        // The hit executes bit-identically to a fresh compile from
         // identical cold state.
+        let direct = fresh(&w, cfg, &spec);
         let (c_cached, r_cached) = run_cycles(&w, &*hit, &spec);
         let (c_fresh, r_fresh) = run_cycles(&w, &direct, &spec);
         prop_assert_eq!(c_cached, c_fresh, "true_cycles must not depend on cache state");

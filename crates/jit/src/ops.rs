@@ -198,13 +198,10 @@ pub(crate) fn cmp_eval(t: CmpTag, a: Value, b: Value) -> bool {
 ///
 /// Predictor updates happen directly at each branch terminator against
 /// the *prepare-time* table index ([`Term::Branch::site_idx`]) — the
-/// per-branch site hash is gone from the hot loop. A staged variant
-/// committing through [`peak_sim::BranchPredictor::commit`] was built
-/// and gated (`batched_commit_matches_sequential`), but profiling
-/// showed the staging stores cost more per branch than the hash they
-/// amortise once indices are precomputed, so the direct path ships;
-/// the batched API remains the proven-equivalent bulk-replay
-/// primitive.
+/// per-branch site hash is gone from the hot loop. Staging updates and
+/// committing them in batches was tried and dropped: the staging stores
+/// cost more per branch than the hash they amortise once indices are
+/// precomputed.
 pub(crate) struct JitCtx<'a> {
     pub(crate) jv: &'a JitVersion,
     pub(crate) mem: &'a mut MemoryImage,

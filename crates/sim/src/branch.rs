@@ -73,22 +73,6 @@ impl BranchPredictor {
         wrong
     }
 
-    /// Commit a staged sequence of `(table index, taken)` observations,
-    /// in order, and return how many were mispredicted. Because a
-    /// branch's *direction* never depends on predictor state (the
-    /// predictor only prices it) and penalty charges are commutative
-    /// constant adds, deferring updates into one commit leaves the
-    /// table, the counters, and the total penalty bit-identical to
-    /// calling [`BranchPredictor::mispredicted_at`] at each branch —
-    /// the batched-commit path of the jit tier.
-    pub fn commit(&mut self, staged: &[(u32, bool)]) -> u64 {
-        let mut wrong = 0u64;
-        for &(idx, taken) in staged {
-            wrong += self.mispredicted_at(idx as usize, taken) as u64;
-        }
-        wrong
-    }
-
     /// Table size (two-bit counters).
     pub fn entries(&self) -> usize {
         self.table.len()
@@ -157,36 +141,6 @@ mod tests {
             }
         }
         assert!(wrong > 300, "alternating-ish pattern should hurt: {wrong}");
-    }
-
-    #[test]
-    fn batched_commit_matches_sequential() {
-        // Non-power-of-two table exercises the modulo fold too.
-        for entries in [64usize, 100] {
-            let mut seq = BranchPredictor::new(entries);
-            let mut bat = BranchPredictor::new(entries);
-            let mut x = 0x9e3779b9u64;
-            let mut staged: Vec<(u32, bool)> = Vec::new();
-            let mut seq_wrong = 0u64;
-            let mut bat_wrong = 0u64;
-            for i in 0..5000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let site = x % 37;
-                let taken = (x >> 33) & 3 != 0;
-                let idx = BranchPredictor::index_for(entries, site);
-                seq_wrong += seq.mispredicted(site, taken) as u64;
-                staged.push((idx as u32, taken));
-                // Flush at irregular boundaries.
-                if staged.len() as u64 > 1 + (i % 7) {
-                    bat_wrong += bat.commit(&staged);
-                    staged.clear();
-                }
-            }
-            bat_wrong += bat.commit(&staged);
-            assert_eq!(seq_wrong, bat_wrong);
-            assert_eq!(seq.stats(), bat.stats());
-            assert_eq!(seq.table, bat.table);
-        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!   version whose lowering declines runs on the predecoded engine.
 //!
 //! The tier is an execution-engine choice, never a semantics or cost
-//! choice: `PEAK_TIER` can be flipped on any experiment and every golden
-//! byte stays identical. It is chosen once per version, when the engine
-//! is built; whoever runs an engine just calls [`TierBackend::execute`].
+//! choice: every engine reproduces the same goldens byte for byte.
+//! Production runs the jit engine, or the predecoded one where lowering
+//! declines; the interp engine, and the predecoded engine of a version
+//! that lowers, are built only where tests and benches compare tiers.
+//! The engine is chosen once per version, when it is built; whoever runs
+//! an engine just calls [`TierBackend::execute`].
 
 use crate::cache::AddressMap;
 use crate::exec::{ExecError, ExecOptions, ExecResult, ExecScratch, MachineState, PreparedVersion};
@@ -51,7 +54,7 @@ impl ExecTier {
         }
     }
 
-    /// Parse a tier name as accepted by `PEAK_TIER` and `--tier`.
+    /// Parse a tier name as accepted by `--tier`.
     pub fn parse(s: &str) -> Option<ExecTier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "interp" | "interpreter" => Some(ExecTier::Interp),
@@ -59,19 +62,6 @@ impl ExecTier {
             "jit" | "native" => Some(ExecTier::Jit),
             "default" => Some(ExecTier::default()),
             _ => None,
-        }
-    }
-
-    /// The tier selected by the `PEAK_TIER` environment variable
-    /// ([`ExecTier::default`] when unset). Re-read on every call so
-    /// tests can flip the variable between builds; panics on an
-    /// unrecognized value — a typo silently falling back to the default
-    /// would invalidate whatever A/B experiment set it.
-    pub fn from_env() -> ExecTier {
-        match std::env::var("PEAK_TIER") {
-            Ok(v) if !v.is_empty() => ExecTier::parse(&v)
-                .unwrap_or_else(|| panic!("PEAK_TIER={v:?} is not interp|predecoded|jit")),
-            _ => ExecTier::default(),
         }
     }
 }
@@ -89,7 +79,7 @@ impl std::fmt::Display for ExecTier {
 /// bit for bit.
 ///
 /// The engine is the unit the version cache in `peak-core` builds (one
-/// per version and tier) and the run harness executes. Implementations:
+/// per version) and the run harness executes. Implementations:
 /// [`PreparedVersion`] (predecoded), [`InterpVersion`](crate::InterpVersion)
 /// (the slow oracle) and `peak_jit::JitVersion` (threaded code).
 pub trait TierBackend: Send + Sync {
@@ -126,10 +116,7 @@ mod tests {
         assert_eq!(ExecTier::parse("native"), Some(ExecTier::Jit));
         assert_eq!(ExecTier::parse("bogus"), None);
         assert_eq!(ExecTier::default(), ExecTier::Jit);
-        // The alias and the unset fallback both follow the one default.
+        // The alias follows the one default.
         assert_eq!(ExecTier::parse("default"), Some(ExecTier::default()));
-        if std::env::var_os("PEAK_TIER").is_none() {
-            assert_eq!(ExecTier::from_env(), ExecTier::default());
-        }
     }
 }

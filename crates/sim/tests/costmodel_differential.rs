@@ -9,9 +9,12 @@
 //!   and post-flush behaviour must be identical over seeded random
 //!   address streams across every associativity class (1, 2, 3..=8,
 //!   >8) and both pow2 and non-pow2 geometries.
-//! - **Batched predictor commits** ([`peak_sim::BranchPredictor::commit`])
-//!   vs the per-branch update path: same table, same stats, same
-//!   misprediction count under irregular batch boundaries.
+//! - **Precomputed predictor indices**
+//!   ([`peak_sim::BranchPredictor::mispredicted_at`] on
+//!   [`peak_sim::BranchPredictor::index_for`], what the predecoded and
+//!   jit engines call) vs the hash-per-branch path
+//!   ([`peak_sim::BranchPredictor::mispredicted`], the interp engine's):
+//!   same stats, same misprediction count.
 //!
 //! `PEAK_COSTMODEL_SEEDS` scales the stream count (default 200; CI runs
 //! 2000+).
@@ -321,35 +324,29 @@ fn hierarchy_filter_matches_reference_composition() {
     }
 }
 
-/// Batched predictor commits vs the sequential path over seeded random
-/// (site, taken) streams with irregular batch boundaries — table,
-/// stats, and misprediction count all identical.
+/// Updates at a precomputed table index vs the hash-per-branch path over
+/// seeded random (site, taken) streams, on power-of-two and other table
+/// sizes: every prediction, the stats and the misprediction count agree.
 #[test]
-fn batched_predictor_matches_sequential() {
+fn indexed_predictor_matches_hashed() {
     let n = seeds().min(500);
     for entries in [64usize, 512, 4096, 100] {
         for seed in 0..n {
-            let mut seq = BranchPredictor::new(entries);
-            let mut bat = BranchPredictor::new(entries);
+            let mut hashed = BranchPredictor::new(entries);
+            let mut indexed = BranchPredictor::new(entries);
             let mut s = seed.wrapping_mul(0x9E37_79B9).wrapping_add(17);
-            let mut staged: Vec<(u32, bool)> = Vec::new();
-            let mut seq_wrong = 0u64;
-            let mut bat_wrong = 0u64;
             for i in 0..2000u64 {
                 let r = splitmix(&mut s);
                 let site = r % 61;
                 // Mix of biased and flappy branches.
                 let taken = if site.is_multiple_of(3) { r & 7 != 0 } else { r & 1 == 0 };
-                seq_wrong += seq.mispredicted(site, taken) as u64;
-                staged.push((BranchPredictor::index_for(entries, site) as u32, taken));
-                if staged.len() as u64 > r % 97 || i == 1999 {
-                    bat_wrong += bat.commit(&staged);
-                    staged.clear();
-                }
+                assert_eq!(
+                    indexed.mispredicted_at(BranchPredictor::index_for(entries, site), taken),
+                    hashed.mispredicted(site, taken),
+                    "entries {entries} seed {seed} step {i}"
+                );
             }
-            bat_wrong += bat.commit(&staged);
-            assert_eq!(seq_wrong, bat_wrong, "entries {entries} seed {seed}");
-            assert_eq!(seq.stats(), bat.stats(), "entries {entries} seed {seed}");
+            assert_eq!(hashed.stats(), indexed.stats(), "entries {entries} seed {seed}");
         }
     }
 }
