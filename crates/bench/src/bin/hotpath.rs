@@ -21,11 +21,11 @@
 //! counts (they must be — the pool is deterministic by construction).
 //!
 //! `--obs` runs the metrics-overhead gate and emits `BENCH_obs.json`:
-//! interleaved metrics-on/metrics-off slices of the same fixed
-//! invocation workload, and the median over pairs of the on/off time
-//! ratio as the overhead percentage. Exits non-zero when the overhead
-//! exceeds the gate (default 2%) — instrumentation that taxes the hot
-//! path gets caught in CI, not in production.
+//! 41 interleaved pairs of short metrics-on/metrics-off slices of the
+//! same fixed invocation workload, and the median over pairs of the
+//! on/off time ratio as the overhead percentage. Exits non-zero when the
+//! overhead exceeds the gate (default 2%) — instrumentation that taxes
+//! the hot path gets caught in CI, not in production.
 //!
 //! `--tier {interp,predecoded,jit}` picks the engine the invocation
 //! and `--obs` benchmarks build (default jit),
@@ -808,20 +808,22 @@ fn median(xs: &[f64]) -> f64 {
 /// on/off time ratio exceeds 1 by at most `gate_pct` percent. A pair's
 /// two slices share whatever the host was doing at the time, so its
 /// ratio cancels a host slowdown spanning both, and the median drops the
-/// pairs a slowdown split. Measures `tier`'s engine (the default jit
-/// unless `--tier` says otherwise).
+/// pairs a slowdown split. Slices are short, so that most pairs fall
+/// between a noisy host's slow spells, and pairs are many, so that the
+/// median has enough of those to stand on. Measures `tier`'s engine (the
+/// default jit unless `--tier` says otherwise).
 fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> bool {
     use peak_obs::metrics;
 
-    const PAIRS: usize = 9;
+    const PAIRS: usize = 41;
     let w = peak_workloads::workload_by_name("swim").expect("swim workload");
     let spec = MachineSpec::sparc_ii();
     let engine = build_engine(prepare_o3(w.as_ref(), &spec), tier, &Tracer::disabled());
-    // Calibrate the slice size so each of the 2×PAIRS slices runs for
-    // roughly min_ms/PAIRS — enough work that timer granularity is noise.
-    let warm_secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, 4096);
-    let rate = 4096.0 / warm_secs.max(1e-9);
-    let slice = ((rate * (min_ms as f64 / 1000.0) / PAIRS as f64) as u64).max(4096);
+    // Calibrate the slice size so the PAIRS slices of each side run for
+    // roughly min_ms together.
+    let warm_secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, 512);
+    let rate = 512.0 / warm_secs.max(1e-9);
+    let slice = ((rate * (min_ms as f64 / 1000.0) / PAIRS as f64) as u64).max(1);
     let restore = metrics::enabled();
     let mut on = Vec::with_capacity(PAIRS);
     let mut off = Vec::with_capacity(PAIRS);

@@ -3,15 +3,20 @@
 //! Each seed pins one scenario: a random generated program
 //! (`peak_workloads::fuzzgen`), a random 38-flag configuration, a fixed
 //! argument vector, and one of the two machine models. Every scenario is
-//! pushed through three independent checks:
+//! pushed through four independent checks:
 //!
 //! 1. **oracle** — `peak_opt::optimize_checked` at
-//!    [`ValidationLevel::Full`]: structural IR verification plus the
-//!    per-pass semantic observation diff over the validation battery;
-//! 2. **interp-diff** — end-to-end reference-interpreter equivalence of
+//!    [`ValidationLevel::Full`]: structural IR verification, the
+//!    per-pass semantic observation diff over the validation battery,
+//!    and bit-identity after every pass that reports no change;
+//! 2. **alias** — the footprint reuse rule: every single removal of a
+//!    flag the compile did not use, and two random subsets of those
+//!    flags removed at once, each with random codegen flags, compile to
+//!    a bit-identical program (`Program::bit_image`);
+//! 3. **interp-diff** — end-to-end reference-interpreter equivalence of
 //!    the original vs. fully optimized program on the seed's arguments
 //!    (return value and final memory image);
-//! 3. **machine-diff** — the optimized version executed on the cycle
+//! 4. **machine-diff** — the optimized version executed on the cycle
 //!    simulator (`peak_sim`) must produce the same return value and final
 //!    memory as the reference interpreter run of the *original* program.
 //!
@@ -27,7 +32,7 @@
 //! ```
 
 use peak_ir::{values_eq, Value};
-use peak_opt::{OptConfig, ValidationLevel};
+use peak_opt::{CompiledVersion, OptConfig, ValidationLevel, CODEGEN_FLAGS};
 use peak_sim::{AddressMap, ExecOptions, MachineSpec, MachineState, PreparedVersion};
 use peak_workloads::fuzzgen::{
     build_program, gen_args, gen_stmts, node_count, render_program, run_reference,
@@ -42,7 +47,7 @@ use std::process::ExitCode;
 const CONFIG_SALT: u64 = 0xC0F1_6000_0000_0001;
 
 /// Cap on candidate evaluations during shrinking (each evaluation re-runs
-/// all three checks).
+/// all four checks).
 const SHRINK_BUDGET: usize = 600;
 
 /// One check failure.
@@ -57,6 +62,29 @@ fn machine_for(seed: u64) -> (&'static str, MachineSpec) {
     } else {
         ("p4", MachineSpec::pentium_iv())
     }
+}
+
+/// The configs the footprint of `cv` claims compile like it: each single
+/// removal of a flag it ran but did not use, and two random subsets of
+/// those removed at once, each with random codegen flags.
+fn covered_configs(cv: &CompiledVersion) -> Vec<OptConfig> {
+    let fp = cv.footprint;
+    let unused: Vec<_> =
+        fp.ran.enabled_flags().into_iter().filter(|&f| !fp.used.enabled(f)).collect();
+    let mut rng = SplitMix64::new(cv.config.bits() ^ CONFIG_SALT);
+    let mut dropped: Vec<OptConfig> = unused.iter().map(|&f| cv.config.without(f)).collect();
+    for _ in 0..2 {
+        let r = rng.next_u64();
+        let subset = unused.iter().enumerate().filter(|(i, _)| r >> i & 1 == 1);
+        dropped.push(subset.fold(cv.config, |c, (_, &f)| c.without(f)));
+    }
+    dropped
+        .into_iter()
+        .map(|cfg| {
+            let r = rng.next_u64();
+            CODEGEN_FLAGS.iter().enumerate().fold(cfg, |c, (i, &f)| c.with(f, r >> i & 1 == 1))
+        })
+        .collect()
 }
 
 /// Run every check for one scenario.
@@ -74,7 +102,19 @@ fn check_scenario(
         Failure { check: "oracle", detail: e.to_string() }
     })?;
 
-    // Check 2: end-to-end interpreter equivalence on the seed arguments.
+    // Check 2: every config the compile's footprint covers compiles to
+    // the same bits.
+    let image = cv.program.bit_image();
+    for other in covered_configs(&cv) {
+        if peak_opt::optimize(&prog, f, &other).program.bit_image() != image {
+            return Err(Failure {
+                check: "alias",
+                detail: format!("{other} compiles unlike {cfg}, whose footprint it keeps"),
+            });
+        }
+    }
+
+    // Check 3: end-to-end interpreter equivalence on the seed arguments.
     let (r1, m1) = run_reference(&prog, f, args);
     let (r2, m2) = run_reference(&cv.program, cv.func, args);
     let rets_match = match (&r1, &r2) {
@@ -95,7 +135,7 @@ fn check_scenario(
         });
     }
 
-    // Check 3: the cycle simulator agrees with the reference interpreter.
+    // Check 4: the cycle simulator agrees with the reference interpreter.
     let pv = PreparedVersion::prepare(cv, spec);
     let mem_lens: Vec<usize> = prog.mems.iter().map(|m| m.len).collect();
     let amap = AddressMap::new(&mem_lens);

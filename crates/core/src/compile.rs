@@ -104,6 +104,7 @@ pub fn compile_validated(prog: &Program, func: FuncId, cfg: &OptConfig) -> Compi
                 record_incident(failure, cfg.bits());
                 let mut v = peak_opt::optimize(prog, func, &OptConfig::o0());
                 v.config = *cfg;
+                v.footprint = peak_opt::Footprint::exact(*cfg);
                 v
             }
         },

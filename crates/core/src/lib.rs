@@ -29,9 +29,9 @@
 //!   panic-isolated, cooperatively cancellable, warm-startable;
 //! * [`checkpoint`] — serializable tuner state for kill/resume;
 //! * [`harness`] — simulated application runs with version swapping;
-//! * [`tier`], [`version_cache`] — each version built once for its
-//!   execution tier (lowered to threaded code by default) and shared
-//!   process-wide;
+//! * [`tier`], [`version_cache`] — each distinct version compiled and
+//!   built once (lowered to threaded code by default) and shared
+//!   process-wide by every config that compiles to it;
 //! * [`stats`], [`linreg`] — EVAL/VAR windows, outlier elimination, least
 //!   squares;
 //! * [`ts_select`] — profile-driven tuning-section selection (§4.1).

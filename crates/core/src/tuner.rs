@@ -19,7 +19,7 @@ use crate::strategy::{
     build_strategy, strategy_seed, FrontierRater, IeState, IterativeElimination, RaterAccounting,
     SearchStrategy, StrategyKind,
 };
-use crate::version_cache::{VersionCache, VersionKey};
+use crate::version_cache::VersionCache;
 use peak_obs::{event, span, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
@@ -69,12 +69,13 @@ impl ToJson for TuneReport {
 /// Measure a full production run (no instrumentation, no tuning
 /// overheads): total true cycles of one application run.
 ///
-/// The run is simulated once per process and version: its harness has
+/// The run is simulated once per process and engine: its harness has
 /// seed 0 and no faults, and only true cycles are summed, so the answer
-/// is a pure function of `(workload, cfg, spec, ds)` and later calls read
-/// it from the [`VersionCache`]'s production-run memo. Concurrent calls
-/// for one version share a single run; [`VersionCache::clear`] forgets
-/// every run.
+/// is a pure function of the engine's code and `ds`, and later calls —
+/// for `cfg` or for any config the [`VersionCache`] hands the same
+/// engine — read it from the cache's production-run memo. Concurrent
+/// calls for one engine share a single run; [`VersionCache::clear`]
+/// forgets every run.
 pub fn production_time(
     workload: &dyn Workload,
     spec: &MachineSpec,
@@ -82,9 +83,8 @@ pub fn production_time(
     ds: Dataset,
 ) -> u64 {
     let cache = VersionCache::global();
-    let key = VersionKey::plain(workload, cfg, spec.kind);
-    cache.production_cycles(key, ds, || {
-        let engine = cache.prepare_workload(workload, spec, cfg);
+    let engine = cache.prepare_workload(workload, spec, cfg);
+    cache.production_cycles(&engine, ds, || {
         let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
         let opts = ExecOptions::default();
         while let Some(args) = h.next_args() {

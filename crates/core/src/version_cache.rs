@@ -16,52 +16,83 @@
 //! amortization that FOGA-style flag-evaluation caches and the Collective
 //! Tuning Initiative build their tuning-time wins on.
 //!
-//! Each entry is built once, by [`build_engine`](crate::build_engine)
-//! for the jit tier: the version is compiled, prepared and lowered, and
-//! only the lowered code is kept — the compiled IR and the decoded
-//! blocks are dropped. A version whose lowering declines keeps its
-//! predecoded engine. The run harness executes entries as they are; no
-//! tier decision is left for run time.
+//! The cache applies that idea one level down as well, to configurations
+//! that compile to the same code. -O3 and its 38 single-flag removals
+//! compile to 5–12 distinct programs per benchmark, because most flags
+//! find nothing to do in a given tuning section. A key miss goes
+//! through two memos:
+//!
+//! * **Compiled programs**, per source (workload, TS, instrumented?),
+//!   independent of the machine. Each optimizer run is recorded with its
+//!   [`Footprint`]: a compile of config C is also the compile of every
+//!   C′ that keeps the flags whose passes changed the IR and adds no
+//!   pipeline flag beyond C's (the six codegen flags are free). A miss
+//!   runs `compile` only when no recorded run covers its config, and
+//!   the programs are deduplicated by bit image
+//!   ([`peak_ir::Program::bit_image`]), so each distinct program is kept
+//!   once.
+//! * **Engines**, keyed by (distinct program, the codegen flags
+//!   [`PreparedVersion::codegen_flags`] reads on the machine, machine).
+//!   Each is prepared and built by [`build_engine`](crate::build_engine)
+//!   for the jit tier exactly once: the lowered code is kept and the
+//!   decoded blocks are dropped, and a version whose lowering declines
+//!   keeps its predecoded engine. The run harness executes engines as
+//!   they are; no tier decision is left for run time.
+//!
+//! So keys whose programs and codegen flags agree share one engine
+//! (`Arc::ptr_eq`), and that engine is the one a fresh compile of either
+//! config would build. A shared engine's `CompiledVersion::config` is the
+//! config of the key that built it; an engine reads only its codegen
+//! flags, on which every key sharing it agrees.
 //!
 //! The cache is process-wide ([`VersionCache::global`]) because the
 //! experiment drivers (`table1`, `figure7`) fan benchmarks out across a
 //! shared [`Pool`] and repeat configurations across cells, rating
 //! retries, the CBR→MBR→RBR→WHL cascade, and checkpoint resume.
-//! Building happens outside the map lock behind an **in-flight gate**:
+//! Building happens outside the map locks behind **in-flight gates**:
 //! the first thread to miss a key installs a building slot and builds;
 //! concurrent requesters of the same key block on the gate and share the
-//! one artifact, so racing workers never compile the same config twice
-//! (the `compiles` counter is exact). [`VersionCache::warm`] exposes
-//! that as a bulk pre-build API: the search layer hands a round's whole
-//! candidate frontier to the pool, so compiling and lowering run there
-//! and rating then runs against a hot cache.
+//! one artifact, so racing workers never build the same key twice (the
+//! `compiles` counter is exact), and the engine map gates its builds the
+//! same way (`engines_built` is exact too). Two concurrent misses whose
+//! configs one compile would cover may both run the optimizer, so
+//! `optimizer_runs` depends on thread timing. [`VersionCache::warm`]
+//! exposes the key path as a bulk pre-build API: the search layer hands a
+//! round's whole candidate frontier to the pool, so compiling and
+//! lowering run there and rating then runs against a hot cache.
 //!
-//! Entries are never evicted ([`VersionCache::clear`] exists for
-//! long-lived embedders), so the entries are where a tuning process's
-//! memory goes. One pass of the end-to-end benchmark builds about 6,000
-//! entries serving its search jobs and about 1,000 serving its Figure 7
-//! cells. Measured with a counting allocator (mean over -O3 and its 38
-//! single-flag removals, per benchmark and machine, 8 benchmarks × 2
-//! machines), a compiled version takes 2.4–8.3 KB, preparing adds
-//! 0.5–1.1 KB and lowering 1.2–3.7 KB. A predecoded entry keeps IR and
-//! decoded blocks (2.9–9.4 KB); a lowered entry keeps the lowered code
-//! alone (1.2–3.7 KB), where keeping all three would cost 4.1–12.5 KB.
+//! Nothing is evicted ([`VersionCache::clear`] exists for long-lived
+//! embedders), so the memos are where a tuning process's memory goes.
+//! One pass of the end-to-end benchmark requests about 6,000 keys for
+//! its search jobs, which need about 1,300 optimizer runs and 1,200
+//! engines, and about 1,000 keys for its Figure 7 cells (180 optimizer
+//! runs, 250 engines). Measured with a
+//! counting allocator (mean over -O3 and its 38 single-flag removals,
+//! per benchmark and machine, 8 benchmarks × 2 machines), a compiled
+//! version takes 2.4–8.3 KB, preparing adds 0.5–1.1 KB and lowering
+//! 1.2–3.7 KB. A key costs one map entry; a distinct program keeps its
+//! compiled version, so that later keys can prepare it for another
+//! machine or other codegen flags; an engine keeps its lowered code
+//! alone (1.2–3.7 KB) or, where lowering declines, IR and decoded blocks
+//! (2.9–9.4 KB).
 //!
 //! Beside the versions the cache memoizes production runs for
 //! [`production_time`](crate::production_time): the true cycles of one full
-//! run of a version on a dataset, keyed by `(VersionKey, Dataset)`. A
+//! run of an engine on a dataset, keyed by `(engine, Dataset)`. A
 //! production run is noise-free and fault-free, so its cycles are a pure
-//! function of the key, and Figure 7's cells — which all score against
-//! their pair's -O3 ref run — simulate each distinct run once. Tuning
-//! runs are not memoized: they are noisy, can be faulted, and count
-//! toward tuning time.
+//! function of the engine's code and the dataset, and Figure 7's cells —
+//! which all score against their pair's -O3 ref run — simulate each
+//! distinct run once, as does a job whose winner compiles to -O3's code.
+//! Tuning runs are not memoized: they are noisy, can be faulted, and
+//! count toward tuning time.
 
 use crate::sched::Pool;
 use peak_obs::Tracer;
-use peak_opt::{CompiledVersion, OptConfig};
+use peak_opt::{CompiledVersion, Footprint, OptConfig};
 use peak_sim::{ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
 use peak_workloads::{Dataset, Workload};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -99,6 +130,11 @@ impl VersionKey {
     pub fn instrumented(workload: &dyn Workload, cfg: OptConfig, machine: MachineKind) -> Self {
         VersionKey { instrumented: true, ..Self::plain(workload, cfg, machine) }
     }
+
+    /// The source program the key's config is compiled from.
+    fn source(&self) -> Source {
+        (self.workload, self.ts, self.instrumented)
+    }
 }
 
 /// Counter snapshot of a cache (monotonic; taken with
@@ -108,16 +144,22 @@ pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that did not find a ready version (each triggers or waits
-    /// for exactly one compile).
+    /// for exactly one build).
     pub misses: u64,
-    /// Builds (compile, prepare, lower) actually performed. With the
-    /// in-flight gate this counts *unique work*:
-    /// `misses - compiles` lookups were coalesced onto a concurrent
-    /// build of the same key.
+    /// Key builds performed. With the in-flight gate this counts *unique
+    /// keys*: `misses - compiles` lookups were coalesced onto a
+    /// concurrent build of the same key.
     pub compiles: u64,
     /// Missing lookups that blocked on another thread's in-flight
-    /// compile instead of compiling themselves.
+    /// build instead of building themselves.
     pub coalesced: u64,
+    /// Key builds that ran the optimizer because no earlier compile of
+    /// the same source covered their config. Depends on which of two
+    /// concurrent builds finishes first.
+    pub optimizer_runs: u64,
+    /// Engines prepared and built: one per distinct (program, codegen
+    /// flags, machine) any key asked for.
+    pub engines_built: u64,
     /// Production runs simulated to completion for
     /// [`production_time`](crate::production_time).
     pub production_runs: u64,
@@ -144,6 +186,8 @@ impl CacheStats {
             misses: self.misses.saturating_sub(earlier.misses),
             compiles: self.compiles.saturating_sub(earlier.compiles),
             coalesced: self.coalesced.saturating_sub(earlier.coalesced),
+            optimizer_runs: self.optimizer_runs.saturating_sub(earlier.optimizer_runs),
+            engines_built: self.engines_built.saturating_sub(earlier.engines_built),
             production_runs: self.production_runs.saturating_sub(earlier.production_runs),
             production_hits: self.production_hits.saturating_sub(earlier.production_hits),
         }
@@ -156,20 +200,27 @@ impl CacheStats {
     pub fn render(&self, entries: usize) -> String {
         format!(
             "version cache: {} hits / {} lookups ({:.0}% hit rate, {} entries); \
+             {} builds: {} optimizer runs, {} engines; \
              production runs: {} simulated, {} from memo",
             self.hits,
             self.hits + self.misses,
             self.hit_rate() * 100.0,
             entries,
+            self.compiles,
+            self.optimizer_runs,
+            self.engines_built,
             self.production_runs,
             self.production_hits,
         )
     }
 }
 
+/// A version's executable engine, as the cache hands it out.
+type Engine = Arc<dyn TierBackend>;
+
 /// In-flight gate: the slot a missing key holds while its first
-/// requester compiles. Waiters block on the condvar; on panic the
-/// builder marks the gate failed and waiters retry the full lookup.
+/// requester builds. Waiters block on the condvar; on panic the builder
+/// marks the gate failed and waiters retry the full lookup.
 struct Gate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -177,32 +228,188 @@ struct Gate {
 
 enum GateState {
     Pending,
-    Ready(Arc<dyn TierBackend>),
+    Ready(Engine),
     Failed,
 }
 
+impl Gate {
+    fn new() -> Arc<Gate> {
+        Arc::new(Gate { state: Mutex::new(GateState::Pending), cv: Condvar::new() })
+    }
+
+    fn settle(&self, state: GateState) {
+        *self.state.lock().expect("gate lock") = state;
+        self.cv.notify_all();
+    }
+
+    /// The built engine, or `None` when the builder panicked.
+    fn wait(&self) -> Option<Engine> {
+        let mut state = self.state.lock().expect("gate lock");
+        loop {
+            match &*state {
+                GateState::Ready(e) => return Some(e.clone()),
+                GateState::Failed => return None,
+                GateState::Pending => state = self.cv.wait(state).expect("gate wait"),
+            }
+        }
+    }
+}
+
 enum Slot {
-    Ready(Arc<dyn TierBackend>),
+    Ready(Engine),
     Building(Arc<Gate>),
 }
 
-/// Removes the building slot and fails the gate if the compile panics,
+/// Removes the building slot and fails the gate if the build panics,
 /// so waiters retry instead of hanging.
-struct BuildGuard<'a> {
-    cache: &'a VersionCache,
-    key: VersionKey,
+struct BuildGuard<'a, K: Eq + Hash> {
+    map: &'a Mutex<HashMap<K, Slot>>,
+    key: &'a K,
     gate: Arc<Gate>,
     done: bool,
 }
 
-impl Drop for BuildGuard<'_> {
+impl<K: Eq + Hash> Drop for BuildGuard<'_, K> {
     fn drop(&mut self) {
         if self.done {
             return;
         }
-        self.cache.map.lock().expect("version cache lock").remove(&self.key);
-        *self.gate.state.lock().expect("gate lock") = GateState::Failed;
+        // Runs while the build unwinds, where a second panic would abort:
+        // a poisoned lock is skipped, not unwrapped.
+        if let Ok(mut slots) = self.map.lock() {
+            slots.remove(self.key);
+        }
+        if let Ok(mut state) = self.gate.state.lock() {
+            *state = GateState::Failed;
+        }
         self.gate.cv.notify_all();
+    }
+}
+
+/// How a gated lookup was answered.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    Hit,
+    Built,
+    Waited,
+}
+
+/// Look `key` up in `map`, running `build` on a miss. The first
+/// requester of a missing key installs a building slot and builds
+/// outside the map lock; concurrent requesters wait on its gate and
+/// share the engine. If `build` panics the slot is removed and the
+/// waiters retry, one of them building.
+fn gated<K: Eq + Hash + Clone>(
+    map: &Mutex<HashMap<K, Slot>>,
+    key: &K,
+    build: impl FnOnce() -> Engine,
+) -> (Engine, Answer) {
+    let mut build = Some(build);
+    loop {
+        let gate = {
+            let mut slots = map.lock().expect("version cache lock");
+            match slots.get(key) {
+                Some(Slot::Ready(e)) => return (e.clone(), Answer::Hit),
+                Some(Slot::Building(gate)) => gate.clone(),
+                None => {
+                    let gate = Gate::new();
+                    slots.insert(key.clone(), Slot::Building(gate.clone()));
+                    drop(slots);
+                    let mut guard = BuildGuard { map, key, gate, done: false };
+                    let engine = build.take().expect("a lookup builds at most once")();
+                    map.lock()
+                        .expect("version cache lock")
+                        .insert(key.clone(), Slot::Ready(engine.clone()));
+                    guard.gate.settle(GateState::Ready(engine.clone()));
+                    guard.done = true;
+                    return (engine, Answer::Built);
+                }
+            }
+        };
+        if let Some(engine) = gate.wait() {
+            return (engine, Answer::Waited);
+        }
+    }
+}
+
+/// A source program: (workload, TS, instrumented?).
+type Source = (&'static str, &'static str, bool);
+
+/// One distinct compiled program of a source.
+struct Compiled {
+    /// Unique for the cache's lifetime; names the program in engine keys.
+    id: u64,
+    version: CompiledVersion,
+}
+
+/// The optimizer runs of one source and the distinct programs they
+/// produced.
+#[derive(Default)]
+struct Compiles {
+    /// Each optimizer run's footprint and its program.
+    runs: Vec<(Footprint, Arc<Compiled>)>,
+    /// The distinct programs, bucketed by the hash of their bit image.
+    programs: HashMap<u64, Vec<Arc<Compiled>>>,
+}
+
+impl Compiles {
+    /// The program a compile of `cfg` would produce, if a recorded run
+    /// covers `cfg`. Every covering run produced the same bits, so they
+    /// all name the same distinct program.
+    fn covering(&self, cfg: OptConfig) -> Option<Arc<Compiled>> {
+        self.runs.iter().find(|(fp, _)| fp.covers(cfg)).map(|(_, c)| c.clone())
+    }
+
+    /// Record one optimizer run whose program has bit image `image`,
+    /// and return its distinct program (`id` names it if it is new).
+    fn record(&mut self, version: CompiledVersion, image: &[u64], id: u64) -> Arc<Compiled> {
+        let footprint = version.footprint;
+        let hash = image
+            .iter()
+            .fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95));
+        let bucket = self.programs.entry(hash).or_default();
+        let program = match bucket
+            .iter()
+            .find(|c| c.version.func == version.func && c.version.program.bit_image() == image)
+        {
+            Some(c) => c.clone(),
+            None => {
+                let c = Arc::new(Compiled { id, version });
+                bucket.push(c.clone());
+                c
+            }
+        };
+        self.runs.push((footprint, program.clone()));
+        program
+    }
+}
+
+/// Identity of one engine: a distinct program, the codegen flags
+/// preparing it reads on the machine, and the machine.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct EngineKey {
+    program: u64,
+    codegen: OptConfig,
+    machine: MachineKind,
+}
+
+/// An engine as a map key, compared and hashed by address. The key keeps
+/// its engine alive, so no other engine can reuse the address while the
+/// entry exists.
+#[derive(Clone)]
+struct EngineRef(Engine);
+
+impl PartialEq for EngineRef {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for EngineRef {}
+
+impl Hash for EngineRef {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.0).cast::<()>().hash(state);
     }
 }
 
@@ -210,18 +417,23 @@ impl Drop for BuildGuard<'_> {
 /// whose run completes.
 type ProductionSlot = Arc<OnceLock<u64>>;
 
-/// A version cache: `VersionKey` → `Arc<dyn TierBackend>` (the
-/// version's engine), with in-flight de-duplication of concurrent
-/// builds, plus the production-run memo `(VersionKey, Dataset)` → true
-/// cycles.
+/// A version cache: `VersionKey` → the version's engine, through the
+/// compiled-program and engine memos, with in-flight de-duplication of
+/// concurrent builds, plus the production-run memo `(engine, Dataset)` →
+/// true cycles.
 #[derive(Default)]
 pub struct VersionCache {
     map: Mutex<HashMap<VersionKey, Slot>>,
-    production: Mutex<HashMap<(VersionKey, Dataset), ProductionSlot>>,
+    compiled: Mutex<HashMap<Source, Compiles>>,
+    engines: Mutex<HashMap<EngineKey, Slot>>,
+    production: Mutex<HashMap<(EngineRef, Dataset), ProductionSlot>>,
+    next_program: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
     coalesced: AtomicU64,
+    optimizer_runs: AtomicU64,
+    engines_built: AtomicU64,
     production_runs: AtomicU64,
     production_hits: AtomicU64,
 }
@@ -245,13 +457,16 @@ impl VersionCache {
         GLOBAL.get_or_init(VersionCache::new)
     }
 
-    /// Return the engine for `key`, building it on first use: `compile`,
-    /// then [`PreparedVersion::prepare`], then
+    /// Return the engine for `key`, building it on first use: `compile`
+    /// (unless an earlier compile of the same source covers the key's
+    /// config), then — unless another key already built the engine of
+    /// that program and codegen flags on this machine —
+    /// [`PreparedVersion::prepare`] and
     /// [`build_engine`](crate::build_engine) for the jit tier (which
     /// lowers the version, or keeps its predecoded engine and traces the
-    /// declined lowering on `tracer`).
-    /// `spec.kind` must match `key.machine` — the artifact is
-    /// machine-specific.
+    /// declined lowering on `tracer`). `compile` must compile the key's
+    /// config from the key's source. `spec.kind` must match
+    /// `key.machine` — the artifact is machine-specific.
     ///
     /// Concurrent calls with the same key build **once**: the first
     /// requester builds outside the map lock while later ones wait on
@@ -264,78 +479,67 @@ impl VersionCache {
         compile: impl FnOnce() -> CompiledVersion,
     ) -> Arc<dyn TierBackend> {
         debug_assert_eq!(spec.kind, key.machine, "key/spec machine mismatch");
-        let mut compile = Some(compile);
-        loop {
-            let found: Option<Result<Arc<dyn TierBackend>, Arc<Gate>>> = {
-                let mut map = self.map.lock().expect("version cache lock");
-                let probe = match map.get(&key) {
-                    Some(Slot::Ready(v)) => Some(Ok(v.clone())),
-                    Some(Slot::Building(gate)) => Some(Err(gate.clone())),
-                    None => None,
-                };
-                if probe.is_none() {
-                    let gate = Arc::new(Gate {
-                        state: Mutex::new(GateState::Pending),
-                        cv: Condvar::new(),
-                    });
-                    map.insert(key.clone(), Slot::Building(gate.clone()));
-                    drop(map);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.build(
-                        key,
-                        spec,
-                        tracer,
-                        gate,
-                        compile.take().expect("compile fn"),
-                    );
-                }
-                probe
-            };
-            let gate = match found.expect("probe populated") {
-                Ok(v) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return v;
-                }
-                Err(gate) => gate,
-            };
-            // Someone else is compiling this key: wait on the gate.
+        let (engine, answer) = gated(&self.map, &key, || self.build(&key, spec, tracer, compile));
+        let counter = match answer {
+            Answer::Hit => &self.hits,
+            Answer::Built => &self.compiles,
+            Answer::Waited => &self.coalesced,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if answer != Answer::Hit {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut state = gate.state.lock().expect("gate lock");
-            loop {
-                match &*state {
-                    GateState::Ready(v) => return v.clone(),
-                    GateState::Failed => break, // builder died: retry the lookup
-                    GateState::Pending => {
-                        state = gate.cv.wait(state).expect("gate wait");
-                    }
-                }
-            }
         }
+        engine
     }
 
+    /// Build the engine of a missing key: find or compile its program,
+    /// then find or build the engine of that program on this machine.
     fn build(
         &self,
-        key: VersionKey,
+        key: &VersionKey,
         spec: &MachineSpec,
         tracer: &Tracer,
-        gate: Arc<Gate>,
         compile: impl FnOnce() -> CompiledVersion,
-    ) -> Arc<dyn TierBackend> {
-        let mut guard = BuildGuard { cache: self, key, gate, done: false };
-        // Build outside the map lock: compilation dominates, and the
-        // building slot keeps racing requesters parked on the gate.
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        let pv = PreparedVersion::prepare(compile(), spec);
-        let engine = crate::tier::build_engine(pv, ExecTier::Jit, tracer);
-        self.map
-            .lock()
-            .expect("version cache lock")
-            .insert(guard.key.clone(), Slot::Ready(engine.clone()));
-        *guard.gate.state.lock().expect("gate lock") = GateState::Ready(engine.clone());
-        guard.gate.cv.notify_all();
-        guard.done = true;
+    ) -> Engine {
+        let cfg = OptConfig::from_bits(key.config_bits);
+        let program = self.program(key.source(), cfg, compile);
+        let engine_key = EngineKey {
+            program: program.id,
+            codegen: PreparedVersion::codegen_flags(cfg, spec),
+            machine: key.machine,
+        };
+        let (engine, answer) = gated(&self.engines, &engine_key, || {
+            let mut version = program.version.clone();
+            version.config = cfg;
+            crate::tier::build_engine(
+                PreparedVersion::prepare(version, spec),
+                ExecTier::Jit,
+                tracer,
+            )
+        });
+        if answer == Answer::Built {
+            self.engines_built.fetch_add(1, Ordering::Relaxed);
+        }
         engine
+    }
+
+    /// The distinct program a compile of `cfg` from `source` produces:
+    /// a recorded run's when one covers `cfg`, else `compile`'s.
+    fn program(
+        &self,
+        source: Source,
+        cfg: OptConfig,
+        compile: impl FnOnce() -> CompiledVersion,
+    ) -> Arc<Compiled> {
+        let memo = || self.compiled.lock().expect("compile memo lock");
+        if let Some(program) = memo().get(&source).and_then(|c| c.covering(cfg)) {
+            return program;
+        }
+        let version = compile();
+        self.optimizer_runs.fetch_add(1, Ordering::Relaxed);
+        let image = version.program.bit_image();
+        let id = self.next_program.fetch_add(1, Ordering::Relaxed);
+        memo().entry(source).or_default().record(version, &image, id)
     }
 
     /// Shorthand: build (or fetch) the plain TS of `workload` under
@@ -377,12 +581,13 @@ impl VersionCache {
         });
     }
 
-    /// The true cycles of one full production run of `key` on `ds`,
+    /// The true cycles of one full production run of `engine` on `ds`,
     /// running `run` only when no earlier request for the same pair
     /// completed. `run` must simulate that run deterministically (the
     /// seed-0, fault-free harness of
     /// [`production_time`](crate::production_time), the only caller), so
-    /// every answer for a key is the same number.
+    /// every answer for an engine is the same number, whichever key the
+    /// engine was asked for under.
     ///
     /// Concurrent requests for one pair simulate once: the first runs
     /// `run` outside the memo lock, later ones wait for it and share its
@@ -390,7 +595,7 @@ impl VersionCache {
     /// requester runs its own.
     pub(crate) fn production_cycles(
         &self,
-        key: VersionKey,
+        engine: &Engine,
         ds: Dataset,
         run: impl FnOnce() -> u64,
     ) -> u64 {
@@ -398,7 +603,7 @@ impl VersionCache {
             .production
             .lock()
             .expect("production memo lock")
-            .entry((key, ds))
+            .entry((EngineRef(engine.clone()), ds))
             .or_default()
             .clone();
         let mut ran = false;
@@ -424,23 +629,28 @@ impl VersionCache {
 
     /// Snapshot the version and production-run counters.
     pub fn stats(&self) -> CacheStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            compiles: self.compiles.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            production_runs: self.production_runs.load(Ordering::Relaxed),
-            production_hits: self.production_hits.load(Ordering::Relaxed),
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            compiles: get(&self.compiles),
+            coalesced: get(&self.coalesced),
+            optimizer_runs: get(&self.optimizer_runs),
+            engines_built: get(&self.engines_built),
+            production_runs: get(&self.production_runs),
+            production_hits: get(&self.production_hits),
         }
     }
 
-    /// Drop every cached version and every memoized production run
-    /// (counters keep running), so the next request for either builds or
-    /// simulates again. In-flight builds complete against their gates
-    /// and re-insert themselves; in-flight production runs answer their
-    /// waiters and are not kept.
+    /// Drop every cached version, compiled program, engine and memoized
+    /// production run (counters keep running), so the next request for
+    /// any of them compiles, builds or simulates again. In-flight builds
+    /// complete against their gates and re-insert themselves; in-flight
+    /// production runs answer their waiters and are not kept.
     pub fn clear(&self) {
         self.map.lock().expect("version cache lock").clear();
+        self.compiled.lock().expect("compile memo lock").clear();
+        self.engines.lock().expect("version cache lock").clear();
         self.production.lock().expect("production memo lock").clear();
     }
 
@@ -450,7 +660,8 @@ impl VersionCache {
     /// side; this sync-on-read (called by whoever is about to snapshot —
     /// the serve daemon's stats handler) advances the registry counters
     /// by the accumulated delta, so the exported series stays monotonic
-    /// without double-counting.
+    /// without double-counting. `optimizer_runs` is left out: it depends
+    /// on thread timing, and the registry holds counts that repeat.
     pub fn publish_metrics(&self) {
         use peak_obs::metrics::MetricsRegistry;
         let r = MetricsRegistry::global();
@@ -465,15 +676,16 @@ impl VersionCache {
             "Version-cache lookups that compiled or waited",
             s.misses,
         );
-        sync(
-            "core.version_cache.compiles",
-            "Unique version builds (compile, prepare, lower)",
-            s.compiles,
-        );
+        sync("core.version_cache.compiles", "Unique version keys built", s.compiles);
         sync(
             "core.version_cache.coalesced",
             "Missing lookups coalesced onto an in-flight compile",
             s.coalesced,
+        );
+        sync(
+            "core.version_cache.engines_built",
+            "Engines prepared and built, one per distinct program, codegen flags and machine",
+            s.engines_built,
         );
         sync("core.version_cache.production_runs", "Production runs simulated", s.production_runs);
         sync(
@@ -489,12 +701,17 @@ impl VersionCache {
 mod tests {
     use super::*;
     use crate::harness::RunHarness;
+    use peak_opt::Flag;
     use peak_sim::{ExecOptions, SimMetrics};
     use peak_workloads::swim::SwimCalc3;
     use peak_workloads::Dataset;
 
     fn key(w: &dyn Workload, cfg: OptConfig) -> VersionKey {
         VersionKey::plain(w, cfg, MachineKind::SparcII)
+    }
+
+    fn o3() -> OptConfig {
+        OptConfig::o3()
     }
 
     fn untraced() -> Tracer {
@@ -688,13 +905,12 @@ mod tests {
     fn concurrent_production_requests_simulate_once() {
         const THREADS: usize = 4;
         let cache = VersionCache::new();
-        let w = SwimCalc3::new();
-        let key = VersionKey::plain(&w, OptConfig::o3(), MachineKind::SparcII);
+        let engine = cache.prepare_workload(&SwimCalc3::new(), &MachineSpec::sparc_ii(), o3());
         let entered = (Mutex::new(0usize), Condvar::new());
         let answers = Pool::with_threads(THREADS).map(10, |_| {
             *entered.0.lock().expect("entered lock") += 1;
             entered.1.notify_all();
-            cache.production_cycles(key.clone(), Dataset::Ref, || {
+            cache.production_cycles(&engine, Dataset::Ref, || {
                 let (n, timeout) = entered
                     .1
                     .wait_timeout_while(
@@ -717,30 +933,113 @@ mod tests {
     #[test]
     fn panicked_production_run_is_retried() {
         let cache = VersionCache::new();
-        let key = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
+        let engine = cache.prepare_workload(&SwimCalc3::new(), &MachineSpec::sparc_ii(), o3());
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.production_cycles(key.clone(), Dataset::Train, || panic!("injected run failure"))
+            cache.production_cycles(&engine, Dataset::Train, || panic!("injected run failure"))
         }));
         assert!(panicked.is_err(), "the run's panic reaches its requester");
-        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 7), 7);
-        assert_eq!(cache.production_cycles(key, Dataset::Train, || unreachable!("memoized")), 7);
+        assert_eq!(cache.production_cycles(&engine, Dataset::Train, || 7), 7);
+        assert_eq!(
+            cache.production_cycles(&engine, Dataset::Train, || unreachable!("memoized")),
+            7
+        );
         let s = cache.stats();
         assert_eq!((s.production_runs, s.production_hits), (1, 1), "{s:?}");
     }
 
-    /// The memo keys on the dataset as well as the version, and `clear`
-    /// drops it, so the next request simulates again.
+    /// The memo keys on the engine and the dataset, and `clear` drops
+    /// it, so the next request simulates again.
     #[test]
-    fn clear_drops_memoized_production_runs() {
+    fn production_memo_keys_on_engine_and_dataset() {
         let cache = VersionCache::new();
-        let key = VersionKey::plain(&SwimCalc3::new(), OptConfig::o3(), MachineKind::SparcII);
-        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 1), 1);
-        assert_eq!(cache.production_cycles(key.clone(), Dataset::Ref, || 2), 2);
-        assert_eq!(cache.production_cycles(key.clone(), Dataset::Train, || 3), 1);
+        let (w, spec) = (SwimCalc3::new(), MachineSpec::sparc_ii());
+        let (a, b) = (
+            cache.prepare_workload(&w, &spec, o3()),
+            cache.prepare_workload(&w, &spec, OptConfig::o0()),
+        );
+        assert_eq!(cache.production_cycles(&a, Dataset::Train, || 1), 1);
+        assert_eq!(cache.production_cycles(&a, Dataset::Ref, || 2), 2);
+        assert_eq!(cache.production_cycles(&b, Dataset::Train, || 3), 3);
+        assert_eq!(cache.production_cycles(&a, Dataset::Train, || 4), 1);
         cache.clear();
-        assert_eq!(cache.production_cycles(key, Dataset::Train, || 4), 4);
+        assert_eq!(cache.production_cycles(&a, Dataset::Train, || 5), 5);
         let s = cache.stats();
-        assert_eq!((s.production_runs, s.production_hits), (3, 1), "{s:?}");
+        assert_eq!((s.production_runs, s.production_hits), (4, 1), "{s:?}");
+    }
+
+    /// A config that keeps a compile's footprint and drops only flags that
+    /// changed nothing reuses that compile: no optimizer run, and the
+    /// same engine where the codegen flags agree. On Pentium-IV, which
+    /// has no delay slot, dropping `DelayedBranch` changes nothing either.
+    #[test]
+    fn covered_configs_share_the_compile_and_the_engine() {
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let (sparc, p4) = (MachineSpec::sparc_ii(), MachineSpec::pentium_iv());
+        let fp = peak_opt::optimize(w.program(), w.ts(), &o3()).footprint;
+        let idle = peak_opt::ALL_FLAGS
+            .into_iter()
+            .find(|&f| fp.ran.enabled(f) && !fp.used.enabled(f))
+            .expect("-O3 runs a pass that changes nothing in SWIM");
+        let base = cache.prepare_workload(&w, &sparc, o3());
+        let idle_off = cache.prepare_workload(&w, &sparc, o3().without(idle));
+        assert!(Arc::ptr_eq(&base, &idle_off), "{idle} off shares -O3's engine");
+        let no_delay = cache.prepare_workload(&w, &sparc, o3().without(Flag::DelayedBranch));
+        assert!(!Arc::ptr_eq(&base, &no_delay), "SPARC-II reads DelayedBranch");
+        let p4_base = cache.prepare_workload(&w, &p4, o3());
+        let p4_no_delay = cache.prepare_workload(&w, &p4, o3().without(Flag::DelayedBranch));
+        assert!(Arc::ptr_eq(&p4_base, &p4_no_delay), "Pentium-IV has no delay slot");
+        let s = cache.stats();
+        assert_eq!((s.compiles, s.optimizer_runs, s.engines_built), (5, 1, 3), "{s:?}");
+        assert_eq!(cache.len(), 5);
+    }
+
+    /// Two optimizer runs that produce the same bits keep one program and
+    /// share its engine; keys whose programs differ get engines of their
+    /// own.
+    #[test]
+    fn programs_are_kept_once_and_engines_follow_them() {
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let spec = MachineSpec::sparc_ii();
+        let fp = peak_opt::optimize(w.program(), w.ts(), &o3()).footprint;
+        let idle = peak_opt::ALL_FLAGS
+            .into_iter()
+            .find(|&f| fp.ran.enabled(f) && !fp.used.enabled(f))
+            .expect("-O3 runs a pass that changes nothing in SWIM");
+        // The smaller config's compile does not cover -O3, which enables
+        // one more pipeline flag, so -O3 runs the optimizer again.
+        let idle_off = cache.prepare_workload(&w, &spec, o3().without(idle));
+        let base = cache.prepare_workload(&w, &spec, o3());
+        assert!(Arc::ptr_eq(&base, &idle_off), "one program, one engine");
+        let o0 = cache.prepare_workload(&w, &spec, OptConfig::o0());
+        assert!(!Arc::ptr_eq(&base, &o0));
+        let s = cache.stats();
+        assert_eq!((s.optimizer_runs, s.engines_built), (3, 2), "{s:?}");
+        let compiled = cache.compiled.lock().unwrap();
+        let programs: usize =
+            compiled.values().flat_map(|c| c.programs.values()).map(Vec::len).sum();
+        assert_eq!(programs, 2, "{idle} off and -O3 share one program");
+    }
+
+    /// `clear` empties the key map and both memos as well as the
+    /// production-run memo.
+    #[test]
+    fn clear_empties_every_map() {
+        let cache = VersionCache::new();
+        let engine = cache.prepare_workload(&SwimCalc3::new(), &MachineSpec::sparc_ii(), o3());
+        let _ = cache.production_cycles(&engine, Dataset::Train, || 1);
+        let sizes = |c: &VersionCache| {
+            [
+                c.map.lock().unwrap().len(),
+                c.compiled.lock().unwrap().len(),
+                c.engines.lock().unwrap().len(),
+                c.production.lock().unwrap().len(),
+            ]
+        };
+        assert_eq!(sizes(&cache), [1; 4]);
+        cache.clear();
+        assert_eq!(sizes(&cache), [0; 4]);
     }
 
     #[test]

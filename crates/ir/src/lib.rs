@@ -15,6 +15,7 @@
 //! * [`interp`] — a reference interpreter defining IR semantics (the
 //!   oracle against which `peak-opt` passes are property-tested),
 //! * [`validate`] — structural/type well-formedness checking,
+//! * [`bits`] — bit-exact program images ([`Program::bit_image`]),
 //! * [`verify`] — the translation-validation layer: stage-to-stage
 //!   structural invariants (CFG/terminator consistency, loop-header
 //!   invariants, definite initialization) and the observation model the
@@ -25,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bits;
 pub mod builder;
 pub mod cfg;
 pub mod context_vars;

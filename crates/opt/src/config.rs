@@ -143,6 +143,18 @@ pub const ALL_FLAGS: [Flag; NUM_FLAGS] = [
     Flag::ReciprocalMath,
 ];
 
+/// The six codegen flags. No pipeline pass reads them: register
+/// allocation and the machine model do, when `peak_sim` prepares a
+/// compiled version for a machine. The other 32 are pipeline flags.
+pub const CODEGEN_FLAGS: [Flag; 6] = [
+    Flag::ScheduleInsns2,
+    Flag::RenameRegisters,
+    Flag::RegAllocCoalesce,
+    Flag::OmitFramePointer,
+    Flag::CallerSaves,
+    Flag::DelayedBranch,
+];
+
 impl Flag {
     /// Bit index.
     #[inline]
@@ -271,6 +283,18 @@ impl OptConfig {
     pub fn count_enabled(self) -> u32 {
         self.bits.count_ones()
     }
+
+    /// This configuration's codegen flags ([`CODEGEN_FLAGS`]) alone.
+    pub fn codegen(self) -> OptConfig {
+        let mask = CODEGEN_FLAGS.iter().fold(0u64, |m, f| m | 1 << f.bit());
+        OptConfig { bits: self.bits & mask }
+    }
+
+    /// This configuration's pipeline flags alone: every flag but the
+    /// codegen flags.
+    pub fn pipeline(self) -> OptConfig {
+        OptConfig { bits: self.bits & !self.codegen().bits }
+    }
 }
 
 impl Default for OptConfig {
@@ -343,6 +367,15 @@ mod tests {
         assert_eq!(format!("{c}"), "-O3 -fno-strict-aliasing");
         assert_eq!(format!("{}", OptConfig::o3()), "-O3");
         assert_eq!(format!("{}", OptConfig::o0()), "-O0");
+    }
+
+    #[test]
+    fn pipeline_and_codegen_split_the_flags() {
+        let o3 = OptConfig::o3();
+        assert_eq!((o3.pipeline().count_enabled(), o3.codegen().count_enabled()), (32, 6));
+        assert_eq!(o3.pipeline().bits() | o3.codegen().bits(), o3.bits());
+        assert!(o3.codegen().enabled(Flag::DelayedBranch));
+        assert!(!o3.pipeline().enabled(Flag::DelayedBranch));
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod regalloc;
 pub mod util;
 pub mod validate;
 
-pub use config::{Flag, OptConfig, ALL_FLAGS, NUM_FLAGS};
-pub use pipeline::{optimize, optimize_checked, CompiledVersion};
+pub use config::{Flag, OptConfig, ALL_FLAGS, CODEGEN_FLAGS, NUM_FLAGS};
+pub use pipeline::{optimize, optimize_checked, CompiledVersion, Footprint};
 pub use regalloc::{allocate, RegBudget, SpillInfo};
 pub use validate::{
     default_level, FailureKind, PassId, ValidationFailure, ValidationLevel, Validator,

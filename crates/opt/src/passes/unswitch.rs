@@ -55,12 +55,18 @@ pub fn run(f: &mut Function) -> bool {
             }
         }
         let Some((branch_block, cond)) = found else { continue };
-        // Preheader.
+        // Preheader: it must end in a plain jump to the header, which
+        // becomes the dispatch on the invariant condition. Checked before
+        // anything is cloned, so a skipped loop leaves the function as it
+        // was.
         let pre = cfg.preds[l.header.index()]
             .iter()
             .copied()
             .find(|p| !l.contains(*p));
         let Some(pre) = pre else { continue };
+        if !matches!(f.block(pre).term, Terminator::Jump(t) if t == l.header) {
+            continue;
+        }
         // Clone the whole loop twice and specialize.
         let make_copy = |f: &mut Function, take_true: bool| -> peak_ir::BlockId {
             let map = clone_subgraph(f, &l.body, &HashMap::new());
@@ -73,15 +79,7 @@ pub fn run(f: &mut Function) -> bool {
         };
         let h_true = make_copy(f, true);
         let h_false = make_copy(f, false);
-        // Preheader now dispatches on the invariant condition.
-        let old_term = f.block(pre).term.clone();
-        match old_term {
-            Terminator::Jump(t) if t == l.header => {
-                f.block_mut(pre).term =
-                    Terminator::Branch { cond, on_true: h_true, on_false: h_false };
-            }
-            _ => continue, // preheader shape too complex; skip
-        }
+        f.block_mut(pre).term = Terminator::Branch { cond, on_true: h_true, on_false: h_false };
         let _marker = f.add_var(format!("unsw_{}", l.header.0), Type::I64);
         return true;
     }

@@ -15,8 +15,9 @@ use crate::validate::{PassId, ValidationFailure, ValidationLevel, Validator};
 use peak_ir::{FuncId, Program};
 
 /// One compiled version of a tuning section: the transformed program, the
-/// configuration that produced it, and code-size stats consumed by the
-/// machine model (I-cache footprint, alignment padding).
+/// configuration that produced it, what the compile depended on, and
+/// code-size stats consumed by the machine model (I-cache footprint,
+/// alignment padding).
 #[derive(Debug, Clone)]
 pub struct CompiledVersion {
     /// Program with the target function optimized.
@@ -25,9 +26,50 @@ pub struct CompiledVersion {
     pub func: FuncId,
     /// Flags used.
     pub config: OptConfig,
+    /// The configurations whose compile this is.
+    pub footprint: Footprint,
     /// Reachable statement count of the optimized function (code size
     /// proxy; alignment padding included).
     pub code_size: usize,
+}
+
+/// The pipeline flags a compile depended on, and the ones it ran with.
+///
+/// A pass that reports no change leaves the program bit-identical (the
+/// [`Validator`] holds every pass to that from
+/// [`ValidationLevel::Structural`] up), and whether a later pass runs,
+/// or a fixpoint loop repeats, depends only on flags and on earlier
+/// passes' change bits. So a configuration that keeps every `used` flag
+/// and adds no pipeline flag beyond `ran` runs the same passes minus
+/// some that changed nothing, sees the same IR at every step, and
+/// compiles to the same program ([`Footprint::covers`]). The six codegen
+/// flags never reach the pipeline, so they are free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint {
+    /// Pipeline flags whose passes changed the IR, plus
+    /// `StrictAliasing` when store forwarding or register promotion ran
+    /// and `StrengthReduction` when induction-variable elimination
+    /// changed the IR ([`Validator::footprint`]).
+    pub used: OptConfig,
+    /// The pipeline flags the compile ran with.
+    pub ran: OptConfig,
+}
+
+impl Footprint {
+    /// A footprint that covers only configurations with the pipeline
+    /// flags of `cfg`: for a program that running `cfg`'s passes did not
+    /// produce (a compile degraded to `-O0`).
+    pub fn exact(cfg: OptConfig) -> Footprint {
+        Footprint { used: cfg.pipeline(), ran: cfg.pipeline() }
+    }
+
+    /// Whether compiling `cfg` yields exactly the program of the compile
+    /// this footprint belongs to: `cfg` enables every `used` flag and no
+    /// pipeline flag outside `ran`.
+    pub fn covers(self, cfg: OptConfig) -> bool {
+        let want = cfg.pipeline().bits();
+        self.used.bits() & !want == 0 && want & !self.ran.bits() == 0
+    }
 }
 
 /// Bound on fixpoint iterations for self-limiting passes.
@@ -46,7 +88,7 @@ pub fn optimize(prog: &Program, func: FuncId, config: &OptConfig) -> CompiledVer
         Ok(()),
         "pipeline produced invalid IR under {config}"
     );
-    finish(p, func, config)
+    finish(p, func, config, v.footprint())
 }
 
 /// [`optimize`] with translation validation at `level`: after every pass
@@ -63,10 +105,10 @@ pub fn optimize_checked(
     let mut p = prog.clone();
     let mut v = Validator::new(&p, func, config, level)?;
     run_pipeline(&mut p, func, config, &mut v)?;
-    Ok(finish(p, func, config))
+    Ok(finish(p, func, config, v.footprint()))
 }
 
-fn finish(p: Program, func: FuncId, config: &OptConfig) -> CompiledVersion {
+fn finish(p: Program, func: FuncId, config: &OptConfig, footprint: Footprint) -> CompiledVersion {
     let mut code_size = reachable_size(p.func(func));
     // Alignment padding: aligned blocks cost a few padding slots.
     let aligned = p
@@ -75,7 +117,7 @@ fn finish(p: Program, func: FuncId, config: &OptConfig) -> CompiledVersion {
         .filter(|&b| p.func(func).block(b).aligned)
         .count();
     code_size += aligned * 2;
-    CompiledVersion { program: p, func, config: *config, code_size }
+    CompiledVersion { program: p, func, config: *config, footprint, code_size }
 }
 
 fn scalar_cleanup_round(

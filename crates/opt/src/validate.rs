@@ -11,6 +11,11 @@
 //! combination miscompiles" into "this pass broke this invariant on this
 //! input".
 //!
+//! Every invocation also records what the compile depended on (its
+//! [`Footprint`]), and from [`ValidationLevel::Structural`] up the
+//! validator holds a pass that reports no change to leaving the program
+//! bit-identical, the premise footprint reuse rests on.
+//!
 //! Not every pass preserves the full observation: dead-store elimination
 //! deletes store events, inlining deletes call events, scheduling may
 //! reorder stores to provably-disjoint regions. Each [`PassId`] therefore
@@ -19,7 +24,8 @@
 //! final memory, and trap behavior are compared for every pass at every
 //! level — that is the floor no transformation may sink below.
 
-use crate::config::OptConfig;
+use crate::config::{Flag, OptConfig};
+use crate::pipeline::Footprint;
 use peak_ir::{
     compare_observations, observe, verify_function, FuncId, Interp, MemoryImage, ObsLevel,
     Observation, Program, Type, Value, VerifyError, VerifyOptions,
@@ -157,6 +163,44 @@ impl PassId {
         }
     }
 
+    /// The flag that enables this pass (`None` for [`PassId::Input`]).
+    pub fn flag(self) -> Option<Flag> {
+        Some(match self {
+            PassId::Input => return None,
+            PassId::InlineSmall => Flag::InlineSmall,
+            PassId::InlineAggressive => Flag::InlineAggressive,
+            PassId::Fold => Flag::ConstantFolding,
+            PassId::CPropConst => Flag::ConstantPropagation,
+            PassId::CPropCopy => Flag::CopyPropagation,
+            PassId::Algebraic => Flag::AlgebraicSimplification,
+            PassId::Reassoc => Flag::Reassociation,
+            PassId::Peephole => Flag::Peephole,
+            PassId::CseLocal => Flag::CseLocal,
+            PassId::Gcse => Flag::Gcse,
+            PassId::StoreForward => Flag::StoreForwarding,
+            PassId::JumpThread => Flag::JumpThreading,
+            PassId::Reciprocal => Flag::ReciprocalMath,
+            PassId::Licm => Flag::LoopInvariantCodeMotion,
+            PassId::RegPromote => Flag::RegisterPromotion,
+            PassId::Unswitch => Flag::LoopUnswitch,
+            PassId::Fusion => Flag::LoopFusion,
+            PassId::Prefetch => Flag::PrefetchLoopArrays,
+            PassId::Peel => Flag::LoopPeel,
+            PassId::UnrollSmall => Flag::LoopUnrollSmall,
+            PassId::Unroll => Flag::LoopUnroll,
+            PassId::Strength => Flag::StrengthReduction,
+            PassId::StrengthIve => Flag::InductionVariableElimination,
+            PassId::IfConv => Flag::IfConversion,
+            PassId::TailDup => Flag::TailDuplication,
+            PassId::BranchReorder => Flag::BranchReorder,
+            PassId::Dse => Flag::DeadStoreElimination,
+            PassId::Dce => Flag::DeadCodeElimination,
+            PassId::Schedule => Flag::ScheduleInsns,
+            PassId::AlignLoops => Flag::AlignLoops,
+            PassId::AlignJumps => Flag::AlignJumps,
+        })
+    }
+
     /// The portion of the observation this pass is specified to preserve.
     ///
     /// * [`ObsLevel::Exact`] — pure rewrites and control-flow
@@ -198,6 +242,9 @@ pub enum FailureKind {
         /// First diverging observable, human-readable.
         detail: String,
     },
+    /// The pass reported no change but left a program that is not
+    /// bit-identical to its input.
+    Unreported,
 }
 
 /// A translation-validation failure: which pass, compiling what, broke
@@ -225,6 +272,11 @@ impl std::fmt::Display for ValidationFailure {
             FailureKind::Semantic { input, detail } => write!(
                 f,
                 "pass {} changed semantics compiling {} under {} (battery input {input}): {detail}",
+                self.pass, self.func, self.config
+            ),
+            FailureKind::Unreported => write!(
+                f,
+                "pass {} reported no change compiling {} under {} but altered the program",
                 self.pass, self.func, self.config
             ),
         }
@@ -319,15 +371,21 @@ fn build_battery(prog: &Program, func: FuncId) -> Vec<BatteryInput> {
 }
 
 /// Per-compile validation state, threaded through the pipeline by
-/// [`crate::pipeline::optimize_checked`]. At [`ValidationLevel::Full`] it
-/// holds the running pre-pass observations (the post-pass observation of
-/// pass *k* is the pre-pass observation of pass *k+1*, so each pass costs
-/// one oracle execution per battery input, not two).
+/// [`crate::pipeline::optimize`] and
+/// [`crate::pipeline::optimize_checked`]. It accumulates the compile's
+/// [`Footprint`] at every level. From [`ValidationLevel::Structural`] up
+/// it holds the bit image of the program as the last pass left it, and
+/// at [`ValidationLevel::Full`] the running pre-pass observations (the
+/// post-pass observation of pass *k* is the pre-pass observation of pass
+/// *k+1*, so each pass costs one oracle execution per battery input, not
+/// two).
 pub struct Validator {
     level: ValidationLevel,
     func: FuncId,
     func_name: String,
     config: OptConfig,
+    used: OptConfig,
+    image: Vec<u64>,
     battery: Vec<BatteryInput>,
     prev_obs: Vec<Observation>,
     interp: Interp,
@@ -342,6 +400,8 @@ impl Validator {
             func,
             func_name: String::new(),
             config: *config,
+            used: OptConfig::o0(),
+            image: Vec::new(),
             battery: Vec::new(),
             prev_obs: Vec::new(),
             interp: Interp::default(),
@@ -362,6 +422,8 @@ impl Validator {
             func,
             func_name: prog.func(func).name.clone(),
             config: *config,
+            used: OptConfig::o0(),
+            image: Vec::new(),
             battery: Vec::new(),
             prev_obs: Vec::new(),
             interp: Interp {
@@ -373,6 +435,7 @@ impl Validator {
             return Ok(v);
         }
         v.verify_structure(prog, PassId::Input)?;
+        v.image = prog.bit_image();
         if level == ValidationLevel::Full {
             let battery = build_battery(prog, func);
             for input in battery {
@@ -398,27 +461,57 @@ impl Validator {
     }
 
     fn verify_structure(&self, prog: &Program, pass: PassId) -> Result<(), ValidationFailure> {
-        verify_function(prog, self.func, &VerifyOptions::default()).map_err(|e| {
-            ValidationFailure {
-                pass,
-                func: self.func_name.clone(),
-                config: self.config,
-                kind: FailureKind::Structural(e),
-            }
-        })
+        verify_function(prog, self.func, &VerifyOptions::default())
+            .map_err(|e| self.failure(pass, FailureKind::Structural(e)))
+    }
+
+    /// What the compile has depended on so far: the pipeline flags of
+    /// every pass that changed the IR, `StrictAliasing` (when enabled)
+    /// once store forwarding or register promotion ran (both take it as
+    /// a parameter), and `StrengthReduction` once induction-variable
+    /// elimination changed the IR (it runs only under that flag).
+    pub fn footprint(&self) -> Footprint {
+        Footprint { used: self.used, ran: self.config.pipeline() }
+    }
+
+    fn failure(&self, pass: PassId, kind: FailureKind) -> ValidationFailure {
+        ValidationFailure { pass, func: self.func_name.clone(), config: self.config, kind }
     }
 
     /// Report one pass invocation. `changed` is the pass's own "did
-    /// anything" return value — unchanged IR needs no re-checking.
+    /// anything" return value: a changed program is re-checked, and an
+    /// unchanged one must be bit-identical to what the pass was given.
     pub fn after_pass(
         &mut self,
         prog: &Program,
         pass: PassId,
         changed: bool,
     ) -> Result<(), ValidationFailure> {
-        if self.level == ValidationLevel::Off || !changed {
+        if changed {
+            if let Some(flag) = pass.flag() {
+                self.used = self.used.with(flag, true);
+            }
+            if pass == PassId::StrengthIve {
+                self.used = self.used.with(Flag::StrengthReduction, true);
+            }
+        }
+        if matches!(pass, PassId::StoreForward | PassId::RegPromote)
+            && self.config.enabled(Flag::StrictAliasing)
+        {
+            self.used = self.used.with(Flag::StrictAliasing, true);
+        }
+        if self.level == ValidationLevel::Off {
             return Ok(());
         }
+        let image = prog.bit_image();
+        if !changed {
+            return if image == self.image {
+                Ok(())
+            } else {
+                Err(self.failure(pass, FailureKind::Unreported))
+            };
+        }
+        self.image = image;
         self.verify_structure(prog, pass)?;
         if self.level < ValidationLevel::Full {
             return Ok(());
@@ -434,14 +527,8 @@ impl Validator {
                 &input.init,
                 ORACLE_TRACE_LIMIT,
             );
-            compare_observations(&self.prev_obs[i], &obs, level).map_err(|detail| {
-                ValidationFailure {
-                    pass,
-                    func: self.func_name.clone(),
-                    config: self.config,
-                    kind: FailureKind::Semantic { input: i, detail },
-                }
-            })?;
+            compare_observations(&self.prev_obs[i], &obs, level)
+                .map_err(|detail| self.failure(pass, FailureKind::Semantic { input: i, detail }))?;
             self.prev_obs[i] = obs;
         }
         Ok(())
@@ -451,6 +538,42 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// From `Structural` up, a pass that reports no change must leave the
+    /// program bit-identical: turning a `0.0` constant into `-0.0`, which
+    /// the derived `==` cannot see, is blamed on the pass.
+    #[test]
+    fn unchanged_pass_must_leave_the_program_bit_identical() {
+        use peak_ir::{FunctionBuilder, Operand, Rvalue, Stmt};
+        let mut prog = Program::new();
+        let mut b = FunctionBuilder::new("f", Some(Type::F64));
+        let x = b.param("x", Type::F64);
+        let y = b.binary(peak_ir::BinOp::FAdd, x, 0.0f64);
+        b.ret(Some(y.into()));
+        let f = prog.add_func(b.finish());
+        let negate_zero = |prog: &mut Program| {
+            for block in &mut prog.func_mut(f).blocks {
+                for s in &mut block.stmts {
+                    if let Stmt::Assign { rv: Rvalue::Binary(_, _, c), .. } = s {
+                        *c = Operand::Const(Value::F64(-0.0));
+                    }
+                }
+            }
+        };
+        let cfg = OptConfig::o3();
+        let mut v = Validator::new(&prog, f, &cfg, ValidationLevel::Structural).unwrap();
+        v.after_pass(&prog, PassId::Algebraic, false).expect("an untouched program passes");
+        let before = prog.clone();
+        negate_zero(&mut prog);
+        assert_eq!(before, prog, "the derived == cannot see the sign of zero");
+        let err = v.after_pass(&prog, PassId::Algebraic, false).unwrap_err();
+        assert_eq!((err.pass, err.kind), (PassId::Algebraic, FailureKind::Unreported));
+        v.after_pass(&prog, PassId::Algebraic, true).expect("a reported change is verified");
+        v.after_pass(&prog, PassId::Peephole, false).expect("compared with the changed program");
+        let mut off = Validator::off(f, &cfg);
+        negate_zero(&mut prog);
+        off.after_pass(&prog, PassId::Algebraic, false).expect("Off checks nothing");
+    }
 
     #[test]
     fn level_parsing() {
@@ -500,11 +623,22 @@ mod tests {
             PassId::AlignJumps,
         ];
         let mut names = std::collections::HashSet::new();
+        let mut flags = std::collections::HashSet::new();
         for p in all {
             assert!(!p.name().is_empty());
             assert!(names.insert(p.name()), "duplicate pass name {}", p.name());
             let _ = p.preserved();
+            match p.flag() {
+                None => assert_eq!(p, PassId::Input),
+                Some(f) => {
+                    assert!(flags.insert(f), "{f} enables two passes");
+                    assert!(OptConfig::o3().pipeline().enabled(f), "{f} is a pipeline flag");
+                }
+            }
         }
+        // Every pipeline flag but StrictAliasing, a parameter of two
+        // passes, enables a pass of its own.
+        assert_eq!(flags.len(), 31);
         assert_eq!(PassId::Dse.preserved(), ObsLevel::CallsExact);
         assert_eq!(PassId::InlineSmall.preserved(), ObsLevel::StoresExact);
         assert_eq!(PassId::Fold.preserved(), ObsLevel::Exact);

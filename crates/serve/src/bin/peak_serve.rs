@@ -119,6 +119,9 @@ fn render_stats(j: &Json) {
         u(j, "shed"),
         u(j, "postmortems"),
     );
+    if let Some(line) = j.get("version_cache").and_then(Json::as_str) {
+        println!("{line}");
+    }
     if let Some(h) = j.get("store_health") {
         println!(
             "store   {} records, {} quarantined segment(s), {} salvaged / {} rejected line(s)",

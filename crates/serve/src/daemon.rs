@@ -327,8 +327,10 @@ fn connection_loop(inner: &Arc<Inner>, stream: UnixStream) {
 }
 
 /// The `stats` response: per-daemon job counters (stable since PR 6),
-/// store health, and the full process-wide metrics snapshot. Answered
-/// inline on the connection thread — never queued behind tuning work.
+/// store health, the version cache's summary line (which also carries
+/// the counts the registry leaves out, such as optimizer runs) and the
+/// full process-wide metrics snapshot. Answered inline on the connection
+/// thread — never queued behind tuning work.
 fn stats_response(inner: &Arc<Inner>, id: &str) -> String {
     let (records, quarantined, store_health) = {
         let store = lock_ok(&inner.store);
@@ -337,7 +339,8 @@ fn stats_response(inner: &Arc<Inner>, id: &str) -> String {
     // Pull the lazily-synced sources into the registry before
     // snapshotting so the exposition is current, and make sure the jit
     // tier counters exist even before the first jit-tier invocation.
-    VersionCache::global().publish_metrics();
+    let cache = VersionCache::global();
+    cache.publish_metrics();
     peak_core::register_jit_metrics();
     let m = serve_metrics();
     m.queue_depth.set(lock_ok(&inner.queue).len() as i64);
@@ -354,6 +357,7 @@ fn stats_response(inner: &Arc<Inner>, id: &str) -> String {
             ("workers", (inner.config.workers as u64).to_json()),
             ("postmortems", inner.stats.postmortems.load(Ordering::Relaxed).to_json()),
             ("store_health", store_health.to_json()),
+            ("version_cache", cache.stats().render(cache.len()).to_json()),
             ("metrics", snapshot.to_json()),
         ],
     )

@@ -109,6 +109,8 @@ fn stats_and_health_carry_live_telemetry() {
     let sh = stats.get("store_health").expect("stats carries store_health");
     assert_eq!(u(sh, "records"), 1);
     assert_eq!(u(sh, "quarantined_segments"), 0);
+    let cache = stats.get("version_cache").and_then(Json::as_str).expect("cache summary line");
+    assert!(cache.contains("optimizer runs") && cache.contains("engines"), "{cache}");
 
     // The metrics snapshot is coherent with the daemon counters. The
     // registry is process-global, so cross-test values are >= this

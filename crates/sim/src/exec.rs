@@ -24,7 +24,7 @@ use peak_ir::{
     MemBase, MemId, MemRef, MemoryImage, Operand, PtrVal, Rvalue, Stmt, Terminator, Value, VarId,
 };
 use peak_ir::ExecError as InterpError;
-use peak_opt::{CompiledVersion, Flag, SpillInfo};
+use peak_opt::{CompiledVersion, Flag, OptConfig, SpillInfo};
 
 /// Mutable per-run machine state, persisting across TS invocations.
 #[derive(Debug, Clone)]
@@ -214,13 +214,28 @@ pub struct PreparedVersion {
 }
 
 impl PreparedVersion {
+    /// The flags of `config` that [`PreparedVersion::prepare`] reads on
+    /// `spec`: its codegen flags ([`peak_opt::CODEGEN_FLAGS`]), without
+    /// `DelayedBranch` on a machine that has no delay slot. Two versions
+    /// with bit-identical programs whose configurations agree here
+    /// prepare to the same version.
+    pub fn codegen_flags(config: OptConfig, spec: &MachineSpec) -> OptConfig {
+        let codegen = config.codegen();
+        if spec.has_delay_slot {
+            codegen
+        } else {
+            codegen.without(Flag::DelayedBranch)
+        }
+    }
+
     /// Allocate registers for every function of the version on `spec` and
     /// pre-decode the statement streams. A `PreparedVersion` is only
     /// meaningful on machine states built from the same `spec` (register
     /// allocation already depends on it), so flag/spec-dependent costs are
     /// resolved here once.
     pub fn prepare(version: CompiledVersion, spec: &MachineSpec) -> Self {
-        let omit_fp = version.config.enabled(Flag::OmitFramePointer);
+        let codegen = Self::codegen_flags(version.config, spec);
+        let omit_fp = codegen.enabled(Flag::OmitFramePointer);
         let mut spill_slot = Vec::with_capacity(version.program.funcs.len());
         let mut live_across_calls = Vec::new();
         let mut slot_base = Vec::new();
@@ -238,12 +253,11 @@ impl PreparedVersion {
         }
         let over_icache = version.code_size > spec.icache_stmt_capacity;
 
-        let config = version.config;
-        let coalesce = config.enabled(Flag::RegAllocCoalesce);
-        let sched2 = config.enabled(Flag::ScheduleInsns2);
-        let rename = config.enabled(Flag::RenameRegisters);
-        let delay = config.enabled(Flag::DelayedBranch) && spec.has_delay_slot;
-        let caller_saves = config.enabled(Flag::CallerSaves);
+        let coalesce = codegen.enabled(Flag::RegAllocCoalesce);
+        let sched2 = codegen.enabled(Flag::ScheduleInsns2);
+        let rename = codegen.enabled(Flag::RenameRegisters);
+        let delay = codegen.enabled(Flag::DelayedBranch);
+        let caller_saves = codegen.enabled(Flag::CallerSaves);
         let exposure = spec.stall_exposure_permille;
         let icache_pen = if over_icache { spec.icache_penalty } else { 0 };
         let params = ExecParams {

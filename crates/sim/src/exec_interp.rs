@@ -71,7 +71,7 @@ fn execute_interp_with_scratch(
     if opts.record_writes {
         scratch.begin_write_log();
     }
-    let config = pv.version.config;
+    let codegen = PreparedVersion::codegen_flags(pv.version.config, &state.spec);
     let mut ctx = SlowCtx {
         pv,
         amap,
@@ -81,14 +81,13 @@ fn execute_interp_with_scratch(
         record_writes: opts.record_writes,
         steps: 0,
         scratch,
-        coalesce: config.enabled(Flag::RegAllocCoalesce),
-        rename: config.enabled(Flag::RenameRegisters),
-        caller_saves: config.enabled(Flag::CallerSaves),
-        delay: false, // resolved against the spec below
+        coalesce: codegen.enabled(Flag::RegAllocCoalesce),
+        rename: codegen.enabled(Flag::RenameRegisters),
+        caller_saves: codegen.enabled(Flag::CallerSaves),
+        delay: codegen.enabled(Flag::DelayedBranch),
         spill_extra: 0,
-        spill_sub: if config.enabled(Flag::ScheduleInsns2) { 2 } else { 0 },
+        spill_sub: if codegen.enabled(Flag::ScheduleInsns2) { 2 } else { 0 },
     };
-    ctx.delay = config.enabled(Flag::DelayedBranch) && ctx.state.spec.has_delay_slot;
     ctx.spill_extra = ctx.state.spec.spill_extra_cycles;
     let mut cycles = 0u64;
     let ret = ctx.call(pv.version.func, args, mem, &mut cycles, 0)?;
