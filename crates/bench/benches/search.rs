@@ -11,8 +11,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use peak_core::consultant::Method;
 use peak_core::rating::{rate, TuningSetup};
-use peak_core::search::{exhaustive, iterative_elimination};
-use peak_core::{FrontierRater, RandomSearchStrategy, SearchStrategy};
+use peak_core::{
+    exhaustive, iterative_elimination, FrontierRater, RandomSearchStrategy, SearchStrategy,
+};
 use peak_opt::{Flag, OptConfig};
 use peak_sim::MachineSpec;
 use peak_workloads::{art::ArtMatch, Dataset};

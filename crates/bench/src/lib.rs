@@ -55,35 +55,14 @@ pub fn figure7_method_list(workload: &dyn Workload, spec: &MachineSpec) -> Vec<M
     ms
 }
 
-/// Compute one Figure-7 cell.
-pub fn figure7_cell(
-    name: &str,
-    kind: MachineKind,
-    method: Method,
-    tuned_on: Dataset,
-) -> Figure7Cell {
-    figure7_cell_traced(name, kind, method, tuned_on, Tracer::disabled())
-}
-
-/// [`figure7_cell`] with telemetry: tuning-loop spans and measurement
-/// provenance go to `tracer`. The tracer is stamped with the cell's
+/// Compute one Figure-7 cell. Tuning-loop spans and measurement
+/// provenance go to `tracer`, stamped with the cell's
 /// benchmark/ts/machine/method/dataset context so trace consumers can
-/// attribute every event without reconstructing the job layout.
-pub fn figure7_cell_traced(
-    name: &str,
-    kind: MachineKind,
-    method: Method,
-    tuned_on: Dataset,
-    tracer: Tracer,
-) -> Figure7Cell {
-    figure7_cell_pooled(name, kind, method, tuned_on, tracer, &peak_core::Pool::with_threads(1))
-}
-
-/// [`figure7_cell_traced`] with a job pool installed for candidate-frontier
-/// pre-compilation. Warm-up is pure, so the cell's report and trace are
-/// byte-identical at any pool size; the pool only moves compile work off
-/// the rating path (and lets an otherwise-idle sibling worker help, via
-/// the pool's shared helper budget).
+/// attribute every event without reconstructing the job layout. `pool`
+/// pre-compiles candidate frontiers; warm-up is pure, so the cell's
+/// report and trace are byte-identical at any pool size; the pool only
+/// moves compile work off the rating path (and lets an otherwise-idle
+/// sibling worker help, via the pool's shared helper budget).
 pub fn figure7_cell_pooled(
     name: &str,
     kind: MachineKind,

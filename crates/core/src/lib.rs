@@ -10,12 +10,11 @@
 //!   the WHL/AVG baselines of §5.2);
 //! * [`mbr`] — component discovery and the linear execution-time model;
 //! * [`context`] — context keys and run-time-constant elimination;
-//! * [`search`] — Iterative Elimination over the 38-flag space (plus
-//!   exhaustive search for ablations);
-//! * [`strategy`] — pluggable search strategies (`SearchStrategy` trait):
-//!   the shared `FrontierRater` + `CompilationBudget`, seeded genetic
-//!   search, and phase-clustered IE — all bit-identical at any thread
-//!   count;
+//! * [`strategy`] — search over the 38-flag space: the paper's Iterative
+//!   Elimination, seeded genetic search, phase-clustered IE and random
+//!   search behind one `SearchStrategy` trait, driven through the shared
+//!   `FrontierRater` + `CompilationBudget` and bit-identical at any
+//!   thread count (plus exhaustive search for ablations);
 //! * [`sched`] — deterministic work-stealing job pool behind the
 //!   experiment drivers and the parallel candidate frontier;
 //! * [`tuner`] — offline tuning end-to-end + production measurement
@@ -51,7 +50,6 @@ pub mod linreg;
 pub mod mbr;
 pub mod rating;
 pub mod sched;
-pub mod search;
 pub mod stats;
 pub mod strategy;
 pub mod stream_cache;
@@ -77,13 +75,13 @@ pub use job::{
 pub use mbr::MbrModel;
 pub use rating::{rate, rate_with, RateOptions, RateOutcome, TuningSetup};
 pub use sched::{default_threads, Pool, PoolStats};
-pub use search::{exhaustive, iterative_elimination, iterative_elimination_from, SearchResult};
 pub use strategy::{
-    build_strategy, cluster_flags, ga_mutate, ga_next_generation, ga_uniform_crossover, pearson,
-    search_with_strategy, search_with_strategy_spent, strategy_kind_by_name, strategy_seed,
-    ClusterConfig, CompilationBudget, FrontierOutcome, FrontierRater, GaConfig, GeneticSearch,
-    IterativeElimination, PhaseClusteredIe, RandomSearchStrategy, RatingProtocol, SearchStrategy,
-    SplitMix64, StrategyKind,
+    build_strategy, cluster_flags, exhaustive, ga_mutate, ga_next_generation, ga_uniform_crossover,
+    iterative_elimination, iterative_elimination_from, pearson, search_with_strategy,
+    search_with_strategy_spent, strategy_kind_by_name, strategy_seed, ClusterConfig,
+    CompilationBudget, FrontierOutcome, FrontierRater, GaConfig, GeneticSearch,
+    IterativeElimination, PhaseClusteredIe, RandomSearchStrategy, RatingProtocol, SearchResult,
+    SearchStrategy, SplitMix64, StrategyKind,
 };
 pub use tuner::{production_time, tune, TuneOptions, TuneReport, Tuner};
 pub use tier::{build_engine, register_jit_metrics};

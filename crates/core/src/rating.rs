@@ -181,11 +181,6 @@ impl<'w> TuningSetup<'w> {
         self.cancel = cancel;
     }
 
-    /// The installed cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Cooperative cancellation point: unwinds with the
     /// [`Cancelled`](crate::job::Cancelled) sentinel when the installed
     /// token has fired, else does nothing.

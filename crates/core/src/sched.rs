@@ -2,7 +2,7 @@
 //!
 //! Every experiment driver fans work out — Table 1 cells, Figure 7
 //! (benchmark × machine × method × dataset) cells, fault-matrix sweeps,
-//! and (inside [`crate::search`]) the per-round candidate frontier of
+//! and (inside [`crate::strategy`]) the per-round candidate frontier of
 //! Iterative Elimination. Before this module each driver spawned one OS
 //! thread per cell with `std::thread::scope`, so a single slow cell
 //! pinned wall-clock while sibling threads idled, and nothing below cell

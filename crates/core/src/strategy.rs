@@ -1,26 +1,40 @@
-//! Pluggable search strategies over the 2^38 flag space.
+//! Search over the 2^38 optimization-flag space.
 //!
-//! The paper's Iterative Elimination is one point in a larger design
-//! space: genetic flag search (FOGA) and cluster-then-tune approaches
-//! (multiple-phase learning) spend the same compilation budget
-//! differently. This module extracts the machinery every search needs —
-//! frontier rating with the §3 method fallback, compile pre-warming
-//! through the shared [`VersionCache`](crate::version_cache::VersionCache),
-//! deterministic per-candidate parallelism — into a [`FrontierRater`]
-//! that any [`SearchStrategy`] drives, and adds a central
-//! [`CompilationBudget`] so strategies can be compared at equal compile
-//! counts.
+//! The paper's search is **Iterative Elimination** (§5.2, citing the
+//! authors' TR \[11\]): start from -O3, rate each enabled flag's removal
+//! against the current base, remove the most harmful flag, repeat until
+//! no removal helps — O(n²) ratings instead of 2^n. It is one point in a
+//! larger design space: genetic flag search (FOGA) and cluster-then-tune
+//! approaches (multiple-phase learning) spend the same compilation budget
+//! differently, biased random search is their equal-budget baseline, and
+//! exhaustive search over a small subspace serves the ablations. Every
+//! search drives a [`FrontierRater`] — frontier rating with the §3 method
+//! fallback, compile pre-warming through the shared
+//! [`VersionCache`](crate::version_cache::VersionCache), deterministic
+//! per-candidate parallelism and a central [`CompilationBudget`], so
+//! strategies can be compared at equal compile counts — and each search
+//! decision has one definition here:
+//!
+//! * the winner rule, [`FrontierOutcome::winner`]: the best-rated
+//!   candidate when it clears the `MIN_GAIN` noise guard (1.2%);
+//! * the IE round, which serial and pooled IE, the checkpointing
+//!   [`Tuner`](crate::tuner::Tuner) and both phases of phase-clustered IE
+//!   run;
+//! * the closing verification round of GA and phase-clustered IE;
+//! * the thinned -O3 sampler behind GA's first population, clustered IE's
+//!   probe bases and random search.
 //!
 //! # Determinism doctrine
 //!
 //! Every strategy must be **bit-identical at any thread count**. The
 //! rater guarantees this for the rating side (per-candidate jobs are
 //! seeded from the frontier round and merged in candidate order; see
-//! `rate_frontier_parallel` in [`search`](crate::search)); strategies
-//! guarantee it for their own decisions by drawing all randomness from
-//! [`SplitMix64`] seeded off the job seed — never from thread timing,
-//! never from `std` hash iteration order. Float comparisons use
-//! `total_cmp` with ties broken toward the lowest index.
+//! `rate_frontier_parallel`); strategies guarantee it for their own
+//! decisions by drawing all randomness from [`SplitMix64`] seeded off the
+//! job seed — never from thread timing, never from `std` hash iteration
+//! order. Float comparisons use `total_cmp`, and every tie has a fixed
+//! break: the winner rule takes the last of equal improvements, GA
+//! selection the lowest population index.
 //!
 //! # Budget semantics
 //!
@@ -36,15 +50,73 @@
 
 use crate::consultant::Method;
 use crate::degrade::RatingSupervisor;
-use crate::rating::{RateOutcome, TuningSetup};
+use crate::rating::{rate_with, RateOptions, RateOutcome, TuningSetup};
 use crate::sched::Pool;
-use crate::search::{
-    count_ie_round, frontier_seed_base, rate_frontier_parallel, SearchResult, MAX_IE_ROUNDS,
-    MIN_GAIN,
-};
 use peak_obs::event;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS, NUM_FLAGS};
+use peak_util::{Json, ToJson};
 use std::collections::HashSet;
+
+/// Search outcome.
+#[derive(Debug, Clone)]
+pub struct SearchResult {
+    /// Best configuration found (not serialized; `disabled_flags` is the
+    /// report-friendly form).
+    pub best: OptConfig,
+    /// Flags disabled relative to -O3 (report-friendly).
+    pub disabled_flags: Vec<String>,
+    /// Rating method that produced the final decision.
+    pub method: Method,
+    /// Method switches that occurred (§3's fallback).
+    pub switches: u32,
+    /// Total candidate ratings performed.
+    pub ratings: usize,
+    /// Tuning cycles consumed (true cycles of all tuning runs).
+    pub tuning_cycles: u64,
+    /// Application runs used.
+    pub runs: usize,
+    /// TS invocations consumed.
+    pub invocations: u64,
+}
+
+impl ToJson for SearchResult {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("disabled_flags", self.disabled_flags.to_json()),
+            ("method", self.method.to_json()),
+            ("switches", self.switches.to_json()),
+            ("ratings", self.ratings.to_json()),
+            ("tuning_cycles", self.tuning_cycles.to_json()),
+            ("runs", self.runs.to_json()),
+            ("invocations", self.invocations.to_json()),
+        ])
+    }
+}
+
+/// Minimum relative improvement for a flag removal to count (noise guard).
+pub(crate) const MIN_GAIN: f64 = 1.012;
+/// Round cap for Iterative Elimination: each round removes one flag, and
+/// gains below [`MIN_GAIN`] stop the search anyway; the cap bounds tuning
+/// cost when measurement noise keeps producing marginal "wins".
+pub(crate) const MAX_IE_ROUNDS: usize = 10;
+
+/// Live count of IE rounds executed (every variant), fed to the global
+/// metrics registry; handle cached so steady state is one flag load + one
+/// `fetch_add`.
+#[inline]
+fn count_ie_round() {
+    use std::sync::OnceLock;
+    if !peak_obs::metrics::enabled() {
+        return;
+    }
+    static ROUNDS: OnceLock<std::sync::Arc<peak_obs::Counter>> = OnceLock::new();
+    ROUNDS
+        .get_or_init(|| {
+            peak_obs::MetricsRegistry::global()
+                .counter("core.search.ie_rounds", "Iterative-elimination rounds executed")
+        })
+        .inc();
+}
 
 /// Deterministic 64-bit PRNG (splitmix64). Small, fast, and — unlike a
 /// vendored `StdRng` — guaranteed stable across dependency bumps, which
@@ -91,6 +163,20 @@ impl SplitMix64 {
     }
 }
 
+/// -O3 with each flag independently off with `off_per_mille`/1000
+/// probability: GA's first population, clustered IE's probe bases and
+/// random search's samples. Draws one `chance` per flag in bit order, so
+/// the sample is seed-exact.
+fn thinned_o3(rng: &mut SplitMix64, off_per_mille: u64) -> OptConfig {
+    let mut cfg = OptConfig::o3();
+    for f in ALL_FLAGS {
+        if rng.chance(off_per_mille) {
+            cfg = cfg.without(f);
+        }
+    }
+    cfg
+}
+
 /// Central compilation budget shared by all strategies in a shoot-out.
 ///
 /// Counts *unique* configurations (by flag-word bits): re-rating a
@@ -113,11 +199,6 @@ impl CompilationBudget {
     /// A budget of `n` unique configurations.
     pub fn limited(n: usize) -> Self {
         CompilationBudget { limit: Some(n), spent: 0, seen: HashSet::new() }
-    }
-
-    /// The configured limit (`None` = unlimited).
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
     }
 
     /// Unique configurations charged so far.
@@ -175,7 +256,7 @@ pub enum RatingProtocol {
     Serial,
     /// Per-candidate decomposition: every candidate rated in its own
     /// deterministically seeded scratch setup, merged in candidate
-    /// order — bit-identical at any thread count (PR 4's protocol).
+    /// order — bit-identical at any thread count.
     PerCandidate,
 }
 
@@ -193,6 +274,22 @@ pub struct FrontierOutcome {
     /// Whether the budget cut the frontier short — the strategy should
     /// wind down to its best-so-far.
     pub truncated: bool,
+}
+
+impl FrontierOutcome {
+    /// The rated candidate with the largest improvement (the last of
+    /// equal improvements), as `(index, improvement)`; `None` when
+    /// nothing was rated.
+    pub fn best(&self) -> Option<(usize, f64)> {
+        let imp = &self.out.improvements;
+        (0..self.rated).max_by(|&a, &b| imp[a].total_cmp(&imp[b])).map(|i| (i, imp[i]))
+    }
+
+    /// The search's one winner rule: [`FrontierOutcome::best`] when its
+    /// improvement clears the `MIN_GAIN` noise guard (1.2%).
+    pub fn winner(&self) -> Option<(usize, f64)> {
+        self.best().filter(|&(_, gain)| gain >= MIN_GAIN)
+    }
 }
 
 /// A rater's search-wide accounting: frontier rounds, candidate
@@ -368,20 +465,82 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
         self.budget.remaining()
     }
 
-    /// Frontier rounds rated so far (also the seed counter).
-    pub fn round(&self) -> usize {
-        self.acct.round
-    }
-
-    /// The preferred rating method this rater starts each frontier with.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// Assemble the uniform [`SearchResult`] for `best`.
     pub fn finish(&self, best: OptConfig) -> SearchResult {
         self.acct.result(best, self.setup)
     }
+}
+
+/// Seed base for one (round, method-attempt) frontier; each candidate
+/// job offsets by [`JOB_SEED_STRIDE`]. A rating call starts at most
+/// [`MAX_RUNS_PER_RATING`](crate::rating) ≤ 60 runs (one seed increment
+/// each), so strides of 1024 keep every job's run-seed range disjoint
+/// and — more importantly — *fixed*, independent of scheduling.
+fn frontier_seed_base(round: usize, attempt: usize) -> u64 {
+    1 + ((round as u64 * 8 + attempt as u64) << 16)
+}
+const JOB_SEED_STRIDE: u64 = 1024;
+
+/// Rate a candidate frontier with per-candidate parallel jobs: candidate
+/// `j` is rated in its own forked scratch setup (deterministically
+/// seeded from `seed_base + j·stride`) against a fresh measurement of
+/// the base, and the outcomes and run accounting are merged in candidate
+/// order. Returns `None` when `method` is structurally inapplicable
+/// (mirrors [`rate_with`], which each job calls with `opts`).
+///
+/// This is a *restructured* protocol, not a parallelization of the
+/// serial one: serial rating interleaves all candidates inside shared
+/// application runs (joint window picking, shared machine state), which
+/// is inherently sequential. Decomposing per candidate re-measures the
+/// base in every job (~2× the measurements on small frontiers) but
+/// makes each job independent — so the merged result is bit-identical
+/// at **any** thread count, which the differential tests pin down.
+fn rate_frontier_parallel(
+    setup: &mut TuningSetup<'_>,
+    pool: &Pool,
+    method: Method,
+    base: OptConfig,
+    candidates: &[OptConfig],
+    seed_base: u64,
+    opts: &RateOptions,
+) -> Option<RateOutcome> {
+    match method {
+        Method::Cbr if setup.consult.cbr.is_none() => return None,
+        Method::Mbr if setup.consult.mbr.is_none() => return None,
+        _ => {}
+    }
+    let jobs = {
+        let shared: &TuningSetup<'_> = setup;
+        pool.map(candidates.len(), |j| {
+            let mut scratch = shared.fork_for_job(seed_base + j as u64 * JOB_SEED_STRIDE);
+            let out = rate_with(&mut scratch, method, base, &[candidates[j]], opts)
+                .expect("applicability checked before fan-out");
+            (out, scratch)
+        })
+    };
+    let mut merged = RateOutcome {
+        improvements: Vec::with_capacity(candidates.len()),
+        vars: Vec::with_capacity(candidates.len()),
+        unconverged: 0,
+        method,
+        samples: 0,
+        trimmed: 0,
+        dropouts: 0,
+        crashes: 0,
+    };
+    // The pool returns results in job order, so the fold is in candidate
+    // order at any thread count.
+    for (out, scratch) in &jobs {
+        merged.improvements.extend(&out.improvements);
+        merged.vars.extend(&out.vars);
+        merged.unconverged += out.unconverged;
+        merged.samples += out.samples;
+        merged.trimmed += out.trimmed;
+        merged.dropouts += out.dropouts;
+        merged.crashes += out.crashes;
+        setup.absorb_scratch(scratch);
+    }
+    Some(merged)
 }
 
 /// A search strategy over the flag space, driven through a
@@ -389,8 +548,6 @@ impl<'a, 'w> FrontierRater<'a, 'w> {
 /// (workload, machine, method, seed, budget) — thread count must never
 /// leak into the result (the differential suite enforces this).
 pub trait SearchStrategy {
-    /// Stable strategy name (used in job specs, bench artifacts, CLI).
-    fn name(&self) -> &'static str;
     /// Run the search to completion (or budget exhaustion) and return
     /// the best configuration found, with uniform accounting.
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult;
@@ -400,8 +557,8 @@ pub trait SearchStrategy {
 /// [`RatingProtocol::Serial`] rater and an unlimited budget this is the
 /// search the Table 1 / Figure 7 goldens pin; with a pooled rater it is
 /// the per-candidate frontier search. The checkpointing
-/// [`Tuner`](crate::tuner::Tuner) drives the same loop one round at a
-/// time.
+/// [`Tuner`](crate::tuner::Tuner) drives the same round one at a time,
+/// and phase-clustered IE runs it over subsets of the flags.
 #[derive(Debug, Clone)]
 pub struct IterativeElimination {
     /// Start configuration (O3 is the paper's protocol; the serve
@@ -426,78 +583,127 @@ pub(crate) struct IeState {
     pub(crate) round: usize,
     /// Whether the search has ended.
     pub(crate) done: bool,
+    /// Whether the compilation budget ended it.
+    pub(crate) exhausted: bool,
 }
 
 impl IeState {
     /// State before the first round from `start`.
     pub(crate) fn new(start: OptConfig) -> Self {
-        IeState { base: start, round: 0, done: false }
+        IeState { base: start, round: 0, done: false, exhausted: false }
     }
 }
 
 impl IterativeElimination {
-    /// One round: rate every single-flag removal from `state.base` and
-    /// remove the flag whose removal helps most, if it clears
-    /// [`MIN_GAIN`]. The search ends when no removal does, when no flag
-    /// is left, at the round cap, or when the budget runs out. Returns
-    /// `false` once it has ended.
-    pub(crate) fn step(&self, rater: &mut FrontierRater<'_, '_>, state: &mut IeState) -> bool {
+    /// One round: rate the removal of each flag of `flags` still enabled
+    /// in `state.base`, in `flags` order, and make the removal
+    /// [`FrontierOutcome::winner`] names. The search ends when no removal
+    /// wins, when none of `flags` is left, at the round cap, or when the
+    /// budget runs out (which also sets `state.exhausted`). Returns the
+    /// improvement of the removal made.
+    pub(crate) fn step(
+        &self,
+        rater: &mut FrontierRater<'_, '_>,
+        state: &mut IeState,
+        flags: &[Flag],
+    ) -> Option<f64> {
         if state.done || state.round >= self.max_rounds {
             state.done = true;
-            return false;
+            return None;
         }
         rater.check_cancel();
         count_ie_round();
-        let flags: Vec<Flag> = state.base.enabled_flags();
-        if flags.is_empty() {
+        let live: Vec<Flag> = flags.iter().copied().filter(|&f| state.base.enabled(f)).collect();
+        if live.is_empty() {
             state.done = true;
-            return false;
+            return None;
         }
-        let candidates: Vec<OptConfig> = flags.iter().map(|&f| state.base.without(f)).collect();
+        let candidates: Vec<OptConfig> = live.iter().map(|&f| state.base.without(f)).collect();
         let Some(fo) = rater.rate(state.base, &candidates) else {
             state.done = true;
-            return false;
+            state.exhausted = true;
+            return None;
         };
-        let out = &fo.out;
-        let bestidx = (0..fo.rated)
-            .max_by(|&a, &b| out.improvements[a].total_cmp(&out.improvements[b]));
-        let removed = bestidx.filter(|&i| out.improvements[i] >= MIN_GAIN);
+        let removed = fo.winner();
         event!(
             rater.tracer(),
             "search.round",
             round = state.round as u64,
             method = fo.method.name(),
-            best_improvement = bestidx.map(|i| out.improvements[i]).unwrap_or(1.0),
-            removed_flag = removed.map(|i| flags[i].name()),
+            best_improvement = fo.best().map_or(1.0, |(_, gain)| gain),
+            removed_flag = removed.map(|(i, _)| live[i].name()),
             switches = rater.switches() as u64,
         );
         state.round += 1;
-        match removed {
-            Some(i) => state.base = candidates[i],
-            None => state.done = true,
-        }
-        if fo.truncated || state.round >= self.max_rounds {
-            state.done = true;
-        }
-        !state.done
+        state.exhausted = fo.truncated;
+        state.done = removed.is_none() || fo.truncated || state.round >= self.max_rounds;
+        let (i, gain) = removed?;
+        state.base = candidates[i];
+        Some(gain)
     }
 }
 
 impl SearchStrategy for IterativeElimination {
-    fn name(&self) -> &'static str {
-        "ie"
-    }
-
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let mut state = IeState::new(self.start);
-        while self.step(rater, &mut state) {}
+        while !state.done {
+            self.step(rater, &mut state, &ALL_FLAGS);
+        }
         rater.finish(state.base)
     }
 }
 
-/// Finalists re-rated in a strategy's closing verification round (GA
-/// and phase-clustered IE both end with one).
-pub const GA_FINALISTS: usize = 8;
+/// Iterative Elimination with the given (initial) rating method,
+/// starting from -O3 (the paper's protocol).
+pub fn iterative_elimination(setup: &mut TuningSetup<'_>, method: Method) -> SearchResult {
+    iterative_elimination_from(setup, method, OptConfig::o3())
+}
+
+/// [`iterative_elimination`] from an explicit start configuration — the
+/// serve daemon's knowledge-store warm start seeds the search with a
+/// nearest-neighbour best config instead of -O3. With `start =
+/// OptConfig::o3()` this is exactly [`iterative_elimination`].
+///
+/// Each round boundary is a cooperative cancellation point
+/// ([`TuningSetup::check_cancel`]); with the default token this is
+/// a no-op. The search runs on a [`FrontierRater::serial`] rater — the
+/// serial interleaved rating protocol the Table 1 / Figure 7 goldens pin
+/// down, with the paper's fallback policy and an unlimited compilation
+/// budget.
+pub fn iterative_elimination_from(
+    setup: &mut TuningSetup<'_>,
+    method: Method,
+    start: OptConfig,
+) -> SearchResult {
+    let strategy = IterativeElimination { start, max_rounds: MAX_IE_ROUNDS };
+    strategy.run(&mut FrontierRater::serial(setup, method))
+}
+
+/// Exhaustive search over a small flag subset (all other flags stay on).
+/// 2^k ratings, rated as one frontier on a [`FrontierRater::serial`]
+/// rater — only for ablation studies on ≤ 12 flags.
+pub fn exhaustive(setup: &mut TuningSetup<'_>, method: Method, flags: &[Flag]) -> SearchResult {
+    assert!(flags.len() <= 12, "exhaustive search is 2^k");
+    let base = OptConfig::o3();
+    let mut candidates = Vec::new();
+    for mask in 1u64..(1 << flags.len()) {
+        let mut cfg = base;
+        for (i, &f) in flags.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                cfg = cfg.without(f);
+            }
+        }
+        candidates.push(cfg);
+    }
+    let mut rater = FrontierRater::serial(setup, method);
+    let fo = rater.rate(base, &candidates).expect("an unlimited budget rates every frontier");
+    let best = fo.winner().map_or(base, |(i, _)| candidates[i]);
+    rater.finish(best)
+}
+
+/// Finalists re-rated in the closing verification round of GA and
+/// phase-clustered IE.
+pub const FINALISTS: usize = 8;
 
 /// Record `cfg` with its rated improvement in a contender list, keeping
 /// the best rating seen per distinct configuration. Strictly-greater
@@ -511,6 +717,43 @@ fn track_contender(contenders: &mut Vec<(f64, OptConfig)>, impr: f64, cfg: OptCo
             }
         }
         None => contenders.push((impr, cfg)),
+    }
+}
+
+/// The closing verification round of GA and phase-clustered IE. Each
+/// frontier round draws its own eval windows, so ratings from different
+/// rounds are not directly comparable: the top [`FINALISTS`] contenders
+/// (ties in first-rated order) are re-rated against -O3 in one frontier,
+/// and the winner is picked there. Every finalist and -O3 were charged
+/// when first rated, so the round is budget-free. A lone contender is
+/// re-rated only when `rerate_lone` is set; otherwise its first rating
+/// decides. Returns -O3 when nothing wins, so the answer never regresses
+/// below it.
+fn verify(
+    rater: &mut FrontierRater<'_, '_>,
+    mut contenders: Vec<(f64, OptConfig)>,
+    rerate_lone: bool,
+) -> OptConfig {
+    let o3 = OptConfig::o3();
+    contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
+    contenders.truncate(FINALISTS);
+    match contenders[..] {
+        [] => o3,
+        [(gain, cfg)] if !rerate_lone => {
+            if gain >= MIN_GAIN {
+                cfg
+            } else {
+                o3
+            }
+        }
+        _ => {
+            rater.check_cancel();
+            let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
+            let fo = rater
+                .rate(o3, &finalists)
+                .expect("-O3 and every finalist were charged when first rated");
+            fo.winner().map_or(o3, |(i, _)| finalists[i])
+        }
     }
 }
 
@@ -612,13 +855,10 @@ pub fn ga_next_generation(
 /// over a fixed O3 base, so one frontier rating per generation scores
 /// the whole population. Generation 0 additionally scores the O3
 /// single-removal frontier (memetic seeding — IE's round-1 knowledge at
-/// the same budget), and the run ends with a budget-free verification
-/// round that re-rates the top [`GA_FINALISTS`] configurations under one
-/// set of eval windows — cross-round ratings are not directly
-/// comparable, so the winner is picked where the comparison is fair.
-/// The answer is the verified best if it clears [`MIN_GAIN`], else O3 —
-/// the search can only tie or beat the baseline, never regress below
-/// it.
+/// the same budget). Every rated configuration is a contender, and the
+/// run ends with the verification round over the top [`FINALISTS`]; a
+/// lone contender keeps its first rating. The answer can only tie or
+/// beat the baseline, never regress below it.
 #[derive(Debug, Clone, Default)]
 pub struct GeneticSearch {
     /// Operator and schedule knobs.
@@ -633,55 +873,33 @@ impl GeneticSearch {
 }
 
 impl SearchStrategy for GeneticSearch {
-    fn name(&self) -> &'static str {
-        "ga"
-    }
-
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let cfg = &self.config;
         let mut rng = SplitMix64::new(cfg.seed);
         let base = OptConfig::o3();
-        let mut pop: Vec<OptConfig> = Vec::with_capacity(cfg.population.max(1));
-        pop.push(base);
+        let mut pop = vec![base];
         while pop.len() < cfg.population.max(1) {
-            let mut bits = base.bits();
-            for f in ALL_FLAGS {
-                if rng.chance(cfg.init_off_per_mille) {
-                    bits &= !(1u64 << f.bit());
-                }
-            }
-            pop.push(OptConfig::from_bits(bits));
+            pop.push(thinned_o3(&mut rng, cfg.init_off_per_mille));
         }
-        // Best-so-far, anchored at (O3, 1.0): strictly-greater updates
-        // keep the earliest individual on exact ties.
-        let mut best = (1.0f64, base);
-        // Best rated improvement seen per distinct config — the final
-        // verification round re-rates the strongest of these under one
-        // set of windows, because cross-round ratings are not directly
-        // comparable (each frontier round draws its own eval windows).
+        // Best rated improvement seen per distinct config.
         let mut contenders: Vec<(f64, OptConfig)> = Vec::new();
         for generation in 0..cfg.generations {
             rater.check_cancel();
             let mut candidates = pop.clone();
             if generation == 0 {
                 // Memetic seeding: score the O3 single-removal frontier
-                // alongside generation 0, so best-so-far starts no worse
-                // than the best single-flag elimination (the knowledge
-                // IE's round 1 buys with the same budget). These extras
-                // only feed best-so-far — the population evolves from
-                // its own fitness slice, keeping the GA dynamics pure.
-                candidates
-                    .extend(base.enabled_flags().iter().map(|&f| base.without(f)));
+                // alongside generation 0, so the contenders include the
+                // best single-flag elimination (the knowledge IE's round 1
+                // buys with the same budget). These extras are only
+                // contenders — the population evolves from its own
+                // fitness slice, keeping the GA dynamics pure.
+                candidates.extend(base.enabled_flags().iter().map(|&f| base.without(f)));
             }
             let Some(fo) = rater.rate(base, &candidates) else {
                 break;
             };
             for (i, &cand) in candidates.iter().enumerate().take(fo.rated) {
-                let impr = fo.out.improvements[i];
-                if impr.total_cmp(&best.0).is_gt() {
-                    best = (impr, cand);
-                }
-                track_contender(&mut contenders, impr, cand);
+                track_contender(&mut contenders, fo.out.improvements[i], cand);
             }
             if fo.truncated {
                 break;
@@ -689,37 +907,7 @@ impl SearchStrategy for GeneticSearch {
             let fitness = &fo.out.improvements[..pop.len()];
             pop = ga_next_generation(&mut rng, &pop, fitness, cfg);
         }
-        // Final verification round: re-rate the top contenders in one
-        // frontier. Every finalist was already charged, so this is
-        // budget-free; stable sort keeps ties in first-rated order.
-        contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
-        contenders.truncate(GA_FINALISTS);
-        let winner = if contenders.len() > 1 {
-            rater.check_cancel();
-            let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
-            match rater.rate(base, &finalists) {
-                Some(fo) => {
-                    let besti = (0..fo.rated).max_by(|&a, &b| {
-                        fo.out.improvements[a].total_cmp(&fo.out.improvements[b])
-                    });
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => finalists[i],
-                        _ => base,
-                    }
-                }
-                None => {
-                    if best.0 >= MIN_GAIN {
-                        best.1
-                    } else {
-                        base
-                    }
-                }
-            }
-        } else if best.0 >= MIN_GAIN {
-            best.1
-        } else {
-            base
-        };
+        let winner = verify(rater, contenders, false);
         rater.finish(winner)
     }
 }
@@ -821,20 +1009,20 @@ pub fn cluster_flags(
 
 /// Phase-clustered Iterative Elimination (multiple-phase-learning
 /// style): a probe phase measures each flag's removal delta across a few
-/// bases, flags are grouped by rating-delta correlation, and IE then
-/// runs *within* each cluster against the evolving global base —
-/// roughly O(Σ nᵢ²) frontier compiles instead of O(n²). Probe 0 is
-/// exactly IE's round-1 frontier from O3, so the first cluster's opening
-/// round re-uses already-charged configs (budget-free by the dedup
-/// rule).
+/// bases, flags are grouped by rating-delta correlation, and IE rounds
+/// then run *within* each cluster, over its members in impact order,
+/// against the evolving global base — roughly O(Σ nᵢ²) frontier compiles
+/// instead of O(n²). Probe 0 is exactly IE's round-1 frontier from O3,
+/// so the first cluster's opening round re-uses already-charged configs
+/// (budget-free by the dedup rule).
 ///
 /// The probe phase is budget-aware: when the headroom left after probe 0
 /// cannot fund the extra probes *plus* at least one round of in-cluster
 /// exploitation, the strategy degrades to plain IE rounds over the full
 /// flag set — spending scarce compiles on correlation estimates it could
 /// never exploit would forfeit the search entirely. Like the GA, the run
-/// ends with a budget-free verification round over the strongest
-/// contenders (probe-0 removals and every accepted elimination step), so
+/// ends with the verification round, over the probe-0 removals and every
+/// accepted elimination step (a lone contender is re-rated too), so
 /// budget exhaustion at any point still returns the best verified
 /// configuration, and the answer can never regress below O3.
 #[derive(Debug, Clone, Default)]
@@ -850,11 +1038,29 @@ impl PhaseClusteredIe {
     }
 }
 
-impl SearchStrategy for PhaseClusteredIe {
-    fn name(&self) -> &'static str {
-        "clustered"
+/// IE rounds over `flags` from `state` until they end, capped at
+/// `max_rounds`. Each removal is a contender, scored by `chain` times the
+/// improvements of the removals so far (the vs-O3 estimate that ranks an
+/// elimination chain against the probe-0 singles); returns that product.
+fn eliminate(
+    rater: &mut FrontierRater<'_, '_>,
+    state: &mut IeState,
+    flags: &[Flag],
+    max_rounds: usize,
+    mut chain: f64,
+    contenders: &mut Vec<(f64, OptConfig)>,
+) -> f64 {
+    let ie = IterativeElimination { start: state.base, max_rounds };
+    while !state.done {
+        if let Some(gain) = ie.step(rater, state, flags) {
+            chain *= gain;
+            track_contender(contenders, chain, state.base);
+        }
     }
+    chain
+}
 
+impl SearchStrategy for PhaseClusteredIe {
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let cfg = &self.config;
         let mut rng = SplitMix64::new(cfg.seed);
@@ -886,12 +1092,6 @@ impl SearchStrategy for PhaseClusteredIe {
         // frontier, so nothing already spent is wasted.
         let probe_cost = (cfg.probes + 1) * (all.len() + 1);
         let probing = !exhausted && rater.remaining().is_none_or(|r| r >= probe_cost);
-        // `base` evolves by ≥ MIN_GAIN elimination steps; `chain` is the
-        // product of the accepted per-round gains — the vs-O3 estimate
-        // that ranks the chain against probe-0 singles when picking
-        // verification finalists.
-        let mut base = base0;
-        let mut chain = 1.0f64;
         if probing {
             let mut deltas: Vec<Vec<f64>> = vec![d0.clone()];
             // Extra probes from random bases: flags disabled in the base
@@ -901,13 +1101,7 @@ impl SearchStrategy for PhaseClusteredIe {
                     break;
                 }
                 rater.check_cancel();
-                let mut bits = base0.bits();
-                for f in &all {
-                    if rng.chance(cfg.probe_off_per_mille) {
-                        bits &= !(1u64 << f.bit());
-                    }
-                }
-                let pb = OptConfig::from_bits(bits);
+                let pb = thinned_o3(&mut rng, cfg.probe_off_per_mille);
                 let live: Vec<usize> = (0..all.len()).filter(|&i| pb.enabled(all[i])).collect();
                 if live.is_empty() {
                     continue;
@@ -928,122 +1122,35 @@ impl SearchStrategy for PhaseClusteredIe {
             let threshold = cfg.corr_threshold_per_mille as f64 / 1000.0;
             let clusters = cluster_flags(&deltas, &impact, cfg.max_cluster, threshold);
             // In-cluster IE against the evolving global base.
-            'clusters: for cluster in &clusters {
+            let (mut base, mut chain) = (base0, 1.0f64);
+            for cluster in &clusters {
                 if exhausted {
                     break;
                 }
                 let members: Vec<Flag> = cluster.iter().map(|&i| all[i]).collect();
-                for _round in 0..members.len() {
-                    rater.check_cancel();
-                    count_ie_round();
-                    let live: Vec<Flag> =
-                        members.iter().copied().filter(|&f| base.enabled(f)).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let cands: Vec<OptConfig> = live.iter().map(|&f| base.without(f)).collect();
-                    let Some(fo) = rater.rate(base, &cands) else {
-                        break 'clusters;
-                    };
-                    let besti = (0..fo.rated)
-                        .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => {
-                            chain *= fo.out.improvements[i];
-                            base = cands[i];
-                            track_contender(&mut contenders, chain, base);
-                        }
-                        _ => {
-                            if fo.truncated {
-                                break 'clusters;
-                            }
-                            break;
-                        }
-                    }
-                    if fo.truncated {
-                        break 'clusters;
-                    }
-                }
+                let mut state = IeState::new(base);
+                chain =
+                    eliminate(rater, &mut state, &members, members.len(), chain, &mut contenders);
+                base = state.base;
+                exhausted = state.exhausted;
             }
-        } else {
+        } else if let Some((i, gain)) = p0.winner().filter(|_| !exhausted) {
             // Degenerate tight-budget path: probe 0 is consumed as IE's
             // round 1, and plain full-frontier IE rounds spend whatever
             // headroom remains.
-            let besti = (0..p0.rated)
-                .max_by(|&a, &b| p0.out.improvements[a].total_cmp(&p0.out.improvements[b]));
-            if let Some(i) = besti {
-                if p0.out.improvements[i] >= MIN_GAIN {
-                    chain = p0.out.improvements[i];
-                    base = cands0[i];
-                }
-            }
-            if base.bits() != base0.bits() && !exhausted {
-                for _round in 1..MAX_IE_ROUNDS {
-                    rater.check_cancel();
-                    count_ie_round();
-                    let flags: Vec<Flag> = base.enabled_flags();
-                    if flags.is_empty() {
-                        break;
-                    }
-                    let cands: Vec<OptConfig> = flags.iter().map(|&f| base.without(f)).collect();
-                    let Some(fo) = rater.rate(base, &cands) else {
-                        break;
-                    };
-                    let besti = (0..fo.rated)
-                        .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => {
-                            chain *= fo.out.improvements[i];
-                            base = cands[i];
-                            track_contender(&mut contenders, chain, base);
-                        }
-                        _ => break,
-                    }
-                    if fo.truncated {
-                        break;
-                    }
-                }
-            }
+            let mut state = IeState { round: 1, ..IeState::new(cands0[i]) };
+            eliminate(rater, &mut state, &all, MAX_IE_ROUNDS, gain, &mut contenders);
         }
-        // Final verification round, mirroring the GA's: re-rate the top
-        // contenders against O3 under one set of eval windows. Every
-        // finalist was already charged, so the round is budget-free; the
-        // MIN_GAIN guard means the answer never regresses below O3.
-        contenders.sort_by(|a, b| b.0.total_cmp(&a.0));
-        contenders.truncate(GA_FINALISTS);
-        let winner = if contenders.is_empty() {
-            base0
-        } else {
-            rater.check_cancel();
-            let finalists: Vec<OptConfig> = contenders.iter().map(|&(_, c)| c).collect();
-            match rater.rate(base0, &finalists) {
-                Some(fo) => {
-                    let besti = (0..fo.rated).max_by(|&a, &b| {
-                        fo.out.improvements[a].total_cmp(&fo.out.improvements[b])
-                    });
-                    match besti {
-                        Some(i) if fo.out.improvements[i] >= MIN_GAIN => finalists[i],
-                        _ => base0,
-                    }
-                }
-                None => {
-                    if contenders[0].0 >= MIN_GAIN {
-                        contenders[0].1
-                    } else {
-                        base0
-                    }
-                }
-            }
-        };
+        let winner = verify(rater, contenders, true);
         rater.finish(winner)
     }
 }
 
 /// Biased random search (Cooper-style), ported onto the rater: sample
 /// configurations with each flag independently off with a per-mille
-/// probability, rate the whole batch as one frontier, keep the best if
-/// it clears [`MIN_GAIN`]. The budget truncates the batch, which is what
-/// makes it the natural equal-budget baseline.
+/// probability, rate the whole batch as one frontier, and keep the
+/// [`FrontierOutcome::winner`]. The budget truncates the batch, which is
+/// what makes it the natural equal-budget baseline.
 #[derive(Debug, Clone)]
 pub struct RandomSearchStrategy {
     /// Sample count (the budget usually truncates this).
@@ -1062,33 +1169,15 @@ impl RandomSearchStrategy {
 }
 
 impl SearchStrategy for RandomSearchStrategy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn run(&self, rater: &mut FrontierRater<'_, '_>) -> SearchResult {
         let mut rng = SplitMix64::new(self.seed);
         let base = OptConfig::o3();
-        let candidates: Vec<OptConfig> = (0..self.samples)
-            .map(|_| {
-                let mut bits = base.bits();
-                for f in ALL_FLAGS {
-                    if rng.chance(self.p_off_per_mille) {
-                        bits &= !(1u64 << f.bit());
-                    }
-                }
-                OptConfig::from_bits(bits)
-            })
-            .collect();
+        let candidates: Vec<OptConfig> =
+            (0..self.samples).map(|_| thinned_o3(&mut rng, self.p_off_per_mille)).collect();
         rater.check_cancel();
-        let Some(fo) = rater.rate(base, &candidates) else {
-            return rater.finish(base);
-        };
-        let besti = (0..fo.rated)
-            .max_by(|&a, &b| fo.out.improvements[a].total_cmp(&fo.out.improvements[b]));
-        let best = match besti {
-            Some(i) if fo.out.improvements[i] >= MIN_GAIN => candidates[i],
-            _ => base,
+        let best = match rater.rate(base, &candidates) {
+            Some(fo) => fo.winner().map_or(base, |(i, _)| candidates[i]),
+            None => base,
         };
         rater.finish(best)
     }
@@ -1186,19 +1275,32 @@ pub fn search_with_strategy_spent(
     budget: Option<usize>,
     seed: u64,
 ) -> (SearchResult, usize) {
-    let strategy = build_strategy(kind, seed);
+    run_pooled(setup, pool, method, &*build_strategy(kind, seed), budget)
+}
+
+/// Run `strategy` on a pooled rater, capped at `budget` unique
+/// configurations (`None` = unlimited); returns the result and the
+/// budget spent.
+pub(crate) fn run_pooled(
+    setup: &mut TuningSetup<'_>,
+    pool: &Pool,
+    method: Method,
+    strategy: &dyn SearchStrategy,
+    budget: Option<usize>,
+) -> (SearchResult, usize) {
     let mut rater = FrontierRater::pooled(setup, pool.clone(), method);
     if let Some(n) = budget {
         rater = rater.with_budget(CompilationBudget::limited(n));
     }
     let result = strategy.run(&mut rater);
-    let spent = rater.spent();
-    (result, spent)
+    (result, rater.spent())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peak_sim::MachineSpec;
+    use peak_workloads::{art::ArtMatch, Dataset};
 
     #[test]
     fn splitmix_is_deterministic_and_full_range() {
@@ -1225,6 +1327,34 @@ mod tests {
         assert_eq!(b.spent(), 3);
         assert!(b.charge_one(c2), "seen configs stay free after exhaustion");
         assert!(!b.charge_one(c3));
+    }
+
+    /// The winner rule picks the last of equal best improvements, only
+    /// among rated candidates, and only when it clears the noise guard.
+    #[test]
+    fn winner_is_the_last_best_rated_candidate_clearing_min_gain() {
+        let outcome = |improvements: Vec<f64>, rated: usize| FrontierOutcome {
+            out: RateOutcome {
+                vars: vec![0.0; improvements.len()],
+                improvements,
+                unconverged: 0,
+                method: Method::Cbr,
+                samples: 0,
+                trimmed: 0,
+                dropouts: 0,
+                crashes: 0,
+            },
+            method: Method::Cbr,
+            rated,
+            truncated: false,
+        };
+        let fo = outcome(vec![1.05, 0.9, 1.05, 1.2], 3);
+        assert_eq!(fo.best(), Some((2, 1.05)));
+        assert_eq!(fo.winner(), Some((2, 1.05)));
+        let fo = outcome(vec![1.0, MIN_GAIN - 1e-9], 2);
+        assert_eq!(fo.best(), Some((1, MIN_GAIN - 1e-9)));
+        assert_eq!(fo.winner(), None);
+        assert_eq!(outcome(vec![], 0).best(), None);
     }
 
     #[test]
@@ -1273,5 +1403,32 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4], "every flag assigned exactly once");
         assert!(clusters.iter().all(|c| c.len() <= 2));
+    }
+
+    #[test]
+    fn ie_on_art_p4_disables_strict_aliasing() {
+        // The paper's marquee result: on Pentium IV, tuning ART discovers
+        // that turning off strict aliasing is a large win.
+        let w = ArtMatch::new();
+        let mut setup = TuningSetup::new(&w, MachineSpec::pentium_iv(), Dataset::Train);
+        let result = iterative_elimination(&mut setup, Method::Rbr);
+        assert!(
+            result.disabled_flags.iter().any(|f| f == "strict-aliasing"),
+            "IE must turn off strict aliasing on P4: {:?}",
+            result.disabled_flags
+        );
+        assert!(result.ratings >= 38, "at least one IE round");
+    }
+
+    #[test]
+    fn ie_on_art_sparc_keeps_strict_aliasing() {
+        let w = ArtMatch::new();
+        let mut setup = TuningSetup::new(&w, MachineSpec::sparc_ii(), Dataset::Train);
+        let result = iterative_elimination(&mut setup, Method::Rbr);
+        assert!(
+            !result.disabled_flags.iter().any(|f| f == "strict-aliasing"),
+            "SPARC II tolerates the pressure: {:?}",
+            result.disabled_flags
+        );
     }
 }

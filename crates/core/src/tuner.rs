@@ -14,14 +14,13 @@ use crate::degrade::{DegradeEvent, RatingSupervisor};
 use crate::job::CancelToken;
 use crate::rating::TuningSetup;
 use crate::sched::Pool;
-use crate::search::{iterative_elimination_from, SearchResult};
 use crate::strategy::{
-    build_strategy, strategy_seed, FrontierRater, IeState, IterativeElimination, RaterAccounting,
-    SearchStrategy, StrategyKind,
+    build_strategy, iterative_elimination_from, run_pooled, strategy_seed, FrontierRater, IeState,
+    IterativeElimination, RaterAccounting, SearchResult, SearchStrategy, StrategyKind,
 };
 use crate::version_cache::VersionCache;
 use peak_obs::{event, span, Tracer};
-use peak_opt::OptConfig;
+use peak_opt::{OptConfig, ALL_FLAGS};
 use peak_sim::{ExecOptions, FaultConfig, MachineSpec};
 use peak_util::{Json, ToJson};
 use peak_workloads::{Dataset, Workload};
@@ -168,8 +167,7 @@ pub fn tune(
                 StrategyKind::Ie => Box::new(IterativeElimination { start, ..Default::default() }),
                 _ => build_strategy(kind, seed),
             };
-            let mut rater = FrontierRater::pooled(&mut setup, options.pool.clone(), method);
-            strategy.run(&mut rater)
+            run_pooled(&mut setup, &options.pool, method, &*strategy, None).0
         }
     };
     options.cancel.check();
@@ -202,7 +200,7 @@ pub fn tune(
 /// cascade), serializing its full state after every round so a killed
 /// job resumes bit-identically via [`Tuner::resume`].
 ///
-/// The loop is the one [`iterative_elimination`](crate::search::iterative_elimination)
+/// The round is the one [`iterative_elimination`](crate::strategy::iterative_elimination)
 /// runs; only the policy differs. With no faults installed and no
 /// degradation triggered, both visit the same (base, candidates) rating
 /// sequence.
@@ -337,7 +335,7 @@ impl<'w> Tuner<'w> {
         tuner.acct.round = cp.round;
         tuner.acct.ratings = cp.ratings;
         let base = OptConfig::from_bits(cp.base_bits);
-        tuner.ie = IeState { base, round: cp.round, done: cp.done };
+        tuner.ie = IeState { round: cp.round, done: cp.done, ..IeState::new(base) };
         tuner.checkpoint_path = Some(path.to_path_buf());
         Ok(tuner)
     }
@@ -358,10 +356,10 @@ impl<'w> Tuner<'w> {
         );
         let mut rater =
             FrontierRater::serial(&mut self.setup, self.method).with_accounting(self.acct.clone());
-        let more = IterativeElimination::default().step(&mut rater, &mut self.ie);
+        IterativeElimination::default().step(&mut rater, &mut self.ie, &ALL_FLAGS);
         self.acct = rater.into_accounting();
         self.save_checkpoint();
-        more
+        !self.ie.done
     }
 
     /// Run the search to completion and return the result.
@@ -412,16 +410,6 @@ fn dataset_name(ds: Dataset) -> &'static str {
     }
 }
 
-/// The methods evaluated for one benchmark in Figure 7: every applicable
-/// rating method plus the AVG and WHL baselines.
-pub fn figure7_methods(workload: &dyn Workload, spec: &MachineSpec) -> Vec<Method> {
-    let consult = crate::consultant::consult(workload, spec);
-    let mut ms = consult.order.clone();
-    ms.push(Method::Avg);
-    ms.push(Method::Whl);
-    ms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,21 +447,11 @@ mod tests {
     }
 
     #[test]
-    fn figure7_method_lists() {
-        let w = SwimCalc3::new();
-        let ms = figure7_methods(&w, &MachineSpec::sparc_ii());
-        assert_eq!(ms.first(), Some(&Method::Cbr));
-        assert!(ms.contains(&Method::Avg));
-        assert!(ms.contains(&Method::Whl));
-        assert_eq!(ms.last(), Some(&Method::Whl));
-    }
-
-    #[test]
     fn tuner_matches_iterative_elimination_when_clean() {
         let w = SwimCalc3::new();
         let spec = MachineSpec::sparc_ii();
         let mut setup = TuningSetup::new(&w, spec.clone(), Dataset::Train);
-        let reference = crate::search::iterative_elimination(&mut setup, Method::Cbr);
+        let reference = crate::strategy::iterative_elimination(&mut setup, Method::Cbr);
         let mut tuner = Tuner::new(&w, spec, Method::Cbr, Dataset::Train);
         let supervised = tuner.run();
         assert_eq!(supervised.best, reference.best);

@@ -49,12 +49,15 @@
 //! experiment drivers (`table1`, `figure7`) fan benchmarks out across a
 //! shared [`Pool`] and repeat configurations across cells, rating
 //! retries, the CBR→MBR→RBR→WHL cascade, and checkpoint resume.
-//! Building happens outside the map locks behind **in-flight gates**:
-//! the first thread to miss a key installs a building slot and builds;
-//! concurrent requesters of the same key block on the gate and share the
-//! one artifact, so racing workers never build the same key twice (the
-//! `compiles` counter is exact), and the engine map gates its builds the
-//! same way (`engines_built` is exact too). Two concurrent misses whose
+//! Every key and every engine has one **compute-once slot** (an
+//! `Arc<OnceLock>`, the shape of the production-run memo below), fetched
+//! or installed under the map lock and filled outside it: the first
+//! thread to miss a key builds, and concurrent requesters of the same key
+//! wait on the slot and share the one artifact, so racing workers never
+//! build the same key twice (the `compiles` counter is exact), and the
+//! engine map builds each engine once the same way (`engines_built` is
+//! exact too). A build that panics leaves its slot empty for the next
+//! requester, one already waiting included. Two concurrent misses whose
 //! configs one compile would cover may both run the optimizer, so
 //! `optimizer_runs` depends on thread timing. [`VersionCache::warm`]
 //! exposes the key path as a bulk pre-build API: the search layer hands a
@@ -94,7 +97,7 @@ use peak_workloads::{Dataset, Workload};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identity of one cached version.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -146,9 +149,9 @@ pub struct CacheStats {
     /// Lookups that did not find a ready version (each triggers or waits
     /// for exactly one build).
     pub misses: u64,
-    /// Key builds performed. With the in-flight gate this counts *unique
-    /// keys*: `misses - compiles` lookups were coalesced onto a
-    /// concurrent build of the same key.
+    /// Key builds performed. Each key's slot is filled once, so this
+    /// counts *unique keys*: `misses - compiles` lookups were coalesced
+    /// onto a concurrent build of the same key.
     pub compiles: u64,
     /// Missing lookups that blocked on another thread's in-flight
     /// build instead of building themselves.
@@ -218,75 +221,11 @@ impl CacheStats {
 /// A version's executable engine, as the cache hands it out.
 type Engine = Arc<dyn TierBackend>;
 
-/// In-flight gate: the slot a missing key holds while its first
-/// requester builds. Waiters block on the condvar; on panic the builder
-/// marks the gate failed and waiters retry the full lookup.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
+/// Compute-once slot of one key or engine: filled by the first requester
+/// whose build completes. The production-run memo uses the same shape.
+type Slot = Arc<OnceLock<Engine>>;
 
-enum GateState {
-    Pending,
-    Ready(Engine),
-    Failed,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate { state: Mutex::new(GateState::Pending), cv: Condvar::new() })
-    }
-
-    fn settle(&self, state: GateState) {
-        *self.state.lock().expect("gate lock") = state;
-        self.cv.notify_all();
-    }
-
-    /// The built engine, or `None` when the builder panicked.
-    fn wait(&self) -> Option<Engine> {
-        let mut state = self.state.lock().expect("gate lock");
-        loop {
-            match &*state {
-                GateState::Ready(e) => return Some(e.clone()),
-                GateState::Failed => return None,
-                GateState::Pending => state = self.cv.wait(state).expect("gate wait"),
-            }
-        }
-    }
-}
-
-enum Slot {
-    Ready(Engine),
-    Building(Arc<Gate>),
-}
-
-/// Removes the building slot and fails the gate if the build panics,
-/// so waiters retry instead of hanging.
-struct BuildGuard<'a, K: Eq + Hash> {
-    map: &'a Mutex<HashMap<K, Slot>>,
-    key: &'a K,
-    gate: Arc<Gate>,
-    done: bool,
-}
-
-impl<K: Eq + Hash> Drop for BuildGuard<'_, K> {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        // Runs while the build unwinds, where a second panic would abort:
-        // a poisoned lock is skipped, not unwrapped.
-        if let Ok(mut slots) = self.map.lock() {
-            slots.remove(self.key);
-        }
-        if let Ok(mut state) = self.gate.state.lock() {
-            *state = GateState::Failed;
-        }
-        self.gate.cv.notify_all();
-    }
-}
-
-/// How a gated lookup was answered.
+/// How a lookup was answered.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Answer {
     Hit,
@@ -294,42 +233,26 @@ enum Answer {
     Waited,
 }
 
-/// Look `key` up in `map`, running `build` on a miss. The first
-/// requester of a missing key installs a building slot and builds
-/// outside the map lock; concurrent requesters wait on its gate and
-/// share the engine. If `build` panics the slot is removed and the
-/// waiters retry, one of them building.
-fn gated<K: Eq + Hash + Clone>(
+/// Look `key` up in `map`, running `build` on a miss. The key's slot is
+/// fetched or installed under the map lock and filled outside it: the
+/// first requester of a missing key builds, and concurrent requesters
+/// wait on the slot and share the engine. If `build` panics the slot
+/// stays empty, and a waiting or later requester builds.
+fn once<K: Eq + Hash + Clone>(
     map: &Mutex<HashMap<K, Slot>>,
     key: &K,
     build: impl FnOnce() -> Engine,
 ) -> (Engine, Answer) {
-    let mut build = Some(build);
-    loop {
-        let gate = {
-            let mut slots = map.lock().expect("version cache lock");
-            match slots.get(key) {
-                Some(Slot::Ready(e)) => return (e.clone(), Answer::Hit),
-                Some(Slot::Building(gate)) => gate.clone(),
-                None => {
-                    let gate = Gate::new();
-                    slots.insert(key.clone(), Slot::Building(gate.clone()));
-                    drop(slots);
-                    let mut guard = BuildGuard { map, key, gate, done: false };
-                    let engine = build.take().expect("a lookup builds at most once")();
-                    map.lock()
-                        .expect("version cache lock")
-                        .insert(key.clone(), Slot::Ready(engine.clone()));
-                    guard.gate.settle(GateState::Ready(engine.clone()));
-                    guard.done = true;
-                    return (engine, Answer::Built);
-                }
-            }
-        };
-        if let Some(engine) = gate.wait() {
-            return (engine, Answer::Waited);
-        }
+    let slot = map.lock().expect("version cache lock").entry(key.clone()).or_default().clone();
+    if let Some(engine) = slot.get() {
+        return (engine.clone(), Answer::Hit);
     }
+    let mut built = false;
+    let engine = slot.get_or_init(|| {
+        built = true;
+        build()
+    });
+    (engine.clone(), if built { Answer::Built } else { Answer::Waited })
 }
 
 /// A source program: (workload, TS, instrumented?).
@@ -418,8 +341,8 @@ impl Hash for EngineRef {
 type ProductionSlot = Arc<OnceLock<u64>>;
 
 /// A version cache: `VersionKey` → the version's engine, through the
-/// compiled-program and engine memos, with in-flight de-duplication of
-/// concurrent builds, plus the production-run memo `(engine, Dataset)` →
+/// compiled-program and engine memos, with concurrent builds of one key
+/// or engine de-duplicated by its slot, plus the production-run memo `(engine, Dataset)` →
 /// true cycles.
 #[derive(Default)]
 pub struct VersionCache {
@@ -470,7 +393,7 @@ impl VersionCache {
     ///
     /// Concurrent calls with the same key build **once**: the first
     /// requester builds outside the map lock while later ones wait on
-    /// the in-flight gate and share the artifact.
+    /// the key's slot and share the artifact.
     pub fn get_or_prepare(
         &self,
         key: VersionKey,
@@ -479,7 +402,7 @@ impl VersionCache {
         compile: impl FnOnce() -> CompiledVersion,
     ) -> Arc<dyn TierBackend> {
         debug_assert_eq!(spec.kind, key.machine, "key/spec machine mismatch");
-        let (engine, answer) = gated(&self.map, &key, || self.build(&key, spec, tracer, compile));
+        let (engine, answer) = once(&self.map, &key, || self.build(&key, spec, tracer, compile));
         let counter = match answer {
             Answer::Hit => &self.hits,
             Answer::Built => &self.compiles,
@@ -508,7 +431,7 @@ impl VersionCache {
             codegen: PreparedVersion::codegen_flags(cfg, spec),
             machine: key.machine,
         };
-        let (engine, answer) = gated(&self.engines, &engine_key, || {
+        let (engine, answer) = once(&self.engines, &engine_key, || {
             let mut version = program.version.clone();
             version.config = cfg;
             crate::tier::build_engine(
@@ -617,7 +540,8 @@ impl VersionCache {
         cycles
     }
 
-    /// Cached versions currently held (ready or in flight).
+    /// Version keys currently held: built, in flight, or left empty by a
+    /// build that panicked.
     pub fn len(&self) -> usize {
         self.map.lock().expect("version cache lock").len()
     }
@@ -644,9 +568,8 @@ impl VersionCache {
 
     /// Drop every cached version, compiled program, engine and memoized
     /// production run (counters keep running), so the next request for
-    /// any of them compiles, builds or simulates again. In-flight builds
-    /// complete against their gates and re-insert themselves; in-flight
-    /// production runs answer their waiters and are not kept.
+    /// any of them compiles, builds or simulates again. Builds and
+    /// production runs in flight answer their waiters and are not kept.
     pub fn clear(&self) {
         self.map.lock().expect("version cache lock").clear();
         self.compiled.lock().expect("compile memo lock").clear();
@@ -705,6 +628,7 @@ mod tests {
     use peak_sim::{ExecOptions, SimMetrics};
     use peak_workloads::swim::SwimCalc3;
     use peak_workloads::Dataset;
+    use std::sync::Condvar;
 
     fn key(w: &dyn Workload, cfg: OptConfig) -> VersionKey {
         VersionKey::plain(w, cfg, MachineKind::SparcII)
@@ -1063,5 +987,36 @@ mod tests {
         });
         assert_eq!(cache.len(), 1);
         assert_eq!(v.tier(), ExecTier::Jit, "the retried build produced the lowered engine");
+    }
+
+    /// A requester already waiting on a key when its build panics is not
+    /// stranded: it builds the key itself.
+    #[test]
+    fn waiter_builds_when_the_build_it_waits_on_panics() {
+        let cache = VersionCache::new();
+        let w = SwimCalc3::new();
+        let spec = MachineSpec::sparc_ii();
+        let key = VersionKey::plain(&w, o3(), spec.kind);
+        let building = std::sync::Barrier::new(2);
+        let (panicked, waited) = std::thread::scope(|s| {
+            let failing = s.spawn(|| {
+                cache.get_or_prepare(key.clone(), &spec, &untraced(), || {
+                    building.wait();
+                    // Give the other requester time to block on the slot.
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                    panic!("injected compile failure")
+                })
+            });
+            building.wait();
+            let waited = cache.get_or_prepare(key.clone(), &spec, &untraced(), || {
+                peak_opt::optimize(w.program(), w.ts(), &o3())
+            });
+            (failing.join().is_err(), waited)
+        });
+        assert!(panicked, "the first build panicked");
+        assert_eq!(waited.tier(), ExecTier::Jit, "the waiter built the lowered engine");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.compiles, s.coalesced), (1, 1, 0), "{s:?}");
+        assert!(Arc::ptr_eq(&waited, &cache.prepare_workload(&w, &spec, o3())), "the key is kept");
     }
 }

@@ -71,10 +71,10 @@ fn assert_identical(
     bench: &str,
     spec: &MachineSpec,
     method: Method,
+    name: &str,
     strategy: &dyn SearchStrategy,
     budget: Option<usize>,
 ) {
-    let name = strategy.name();
     let (reference, ref_spent) = run_leg(bench, spec, method, strategy, budget, THREADS[0]);
     assert!(reference.ratings > 0, "{name}: search must rate something");
     assert!(budget.is_none_or(|b| ref_spent <= b), "{name}: budget respected");
@@ -89,13 +89,13 @@ fn assert_identical(
 
 /// A budget-capped leg of `kind`, seeded with the suite seed.
 fn assert_strategy_identical(bench: &str, spec: &MachineSpec, method: Method, kind: StrategyKind) {
-    assert_identical(bench, spec, method, &*build_strategy(kind, SEED), Some(BUDGET));
+    assert_identical(bench, spec, method, kind.name(), &*build_strategy(kind, SEED), Some(BUDGET));
 }
 
 /// A round-capped IE leg with no budget.
 fn assert_ie_rounds_identical(bench: &str, spec: &MachineSpec, method: Method, rounds: usize) {
     let ie = IterativeElimination { max_rounds: rounds, ..Default::default() };
-    assert_identical(bench, spec, method, &ie, None);
+    assert_identical(bench, spec, method, "ie", &ie, None);
 }
 
 #[test]

@@ -26,13 +26,6 @@ pub struct Block {
     pub aligned: bool,
 }
 
-impl Block {
-    /// A block with no statements jumping to `target`.
-    pub fn jump_to(target: BlockId) -> Self {
-        Block { stmts: Vec::new(), term: Terminator::Jump(target), aligned: false }
-    }
-}
-
 /// A function: parameter list, variable table, and a CFG of basic blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {

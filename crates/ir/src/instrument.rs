@@ -70,17 +70,6 @@ pub fn strip_counters(f: &mut Function) {
     }
 }
 
-/// Remove only the given counters (after component merging, counters for
-/// merged-away blocks are unnecessary).
-pub fn strip_selected_counters(f: &mut Function, drop: &[CounterId]) {
-    for b in f.block_ids().collect::<Vec<_>>() {
-        f.block_mut(b).stmts.retain(|s| match s {
-            Stmt::CounterInc { counter } => !drop.contains(counter),
-            _ => true,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

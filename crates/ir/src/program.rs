@@ -234,12 +234,6 @@ impl MemoryImage {
         &self.bufs[mem.index()]
     }
 
-    /// Mutable buffer for a region.
-    #[inline]
-    pub fn buf_mut(&mut self, mem: MemId) -> &mut Buffer {
-        &mut self.bufs[mem.index()]
-    }
-
     /// Snapshot selected regions (the save step of RBR).
     pub fn snapshot(&self, regions: &[MemId]) -> Vec<(MemId, Buffer)> {
         regions.iter().map(|&m| (m, self.bufs[m.index()].clone())).collect()

@@ -110,11 +110,6 @@ impl Rvalue {
     pub fn is_pure(&self) -> bool {
         !matches!(self, Rvalue::Load(_) | Rvalue::Call { .. })
     }
-
-    /// Whether this rvalue reads memory.
-    pub fn reads_memory(&self) -> bool {
-        matches!(self, Rvalue::Load(_) | Rvalue::Call { .. })
-    }
 }
 
 /// A statement inside a basic block.

@@ -82,17 +82,6 @@ pub enum Type {
     Ptr,
 }
 
-impl Type {
-    /// Whether values of this type can participate in a CBR context key.
-    /// All our IR types are fixed-size scalars, so all qualify; what makes a
-    /// *context variable* non-scalar in the paper's sense is being loaded
-    /// through a varying subscript, which is handled in
-    /// [`crate::context_vars`].
-    pub fn is_scalar(self) -> bool {
-        true
-    }
-}
-
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -131,16 +131,6 @@ impl JitVersion {
     pub fn blocks(&self) -> usize {
         self.n_blocks
     }
-
-    /// Op thunks emitted across all blocks.
-    pub fn op_count(&self) -> usize {
-        self.n_ops
-    }
-
-    /// Functions lowered.
-    pub fn func_count(&self) -> usize {
-        self.funcs.len()
-    }
 }
 
 impl std::fmt::Debug for JitVersion {

@@ -57,17 +57,6 @@ pub fn map_term_operands(t: &mut Terminator, f: &mut impl FnMut(&mut Operand)) {
     }
 }
 
-/// Substitute variable `from` with operand `to` in a single operand.
-pub fn subst_operand(op: &mut Operand, from: VarId, to: &Operand) -> bool {
-    if let Operand::Var(v) = op {
-        if *v == from {
-            *op = *to;
-            return true;
-        }
-    }
-    false
-}
-
 /// Number of defining assignments of each variable (params excluded; a
 /// parameter counts as having an implicit entry definition, recorded
 /// separately by callers when it matters).

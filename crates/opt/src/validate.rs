@@ -453,13 +453,6 @@ impl Validator {
         Ok(v)
     }
 
-    /// The number of semantic-oracle inputs in use (0 at levels below
-    /// [`ValidationLevel::Full`], or when no trap-free input could be
-    /// fabricated).
-    pub fn battery_len(&self) -> usize {
-        self.battery.len()
-    }
-
     fn verify_structure(&self, prog: &Program, pass: PassId) -> Result<(), ValidationFailure> {
         verify_function(prog, self.func, &VerifyOptions::default())
             .map_err(|e| self.failure(pass, FailureKind::Structural(e)))

@@ -5,14 +5,6 @@ use peak_ir::{MemId, MemoryImage, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Fill an integer region with uniform values in `range`.
-pub fn fill_i64(mem: &mut MemoryImage, m: MemId, rng: &mut StdRng, range: std::ops::Range<i64>) {
-    let len = mem.buf(m).len();
-    for i in 0..len {
-        mem.store(m, i as i64, Value::I64(rng.gen_range(range.clone())));
-    }
-}
-
 /// Fill a float region with uniform values in `range`.
 pub fn fill_f64(mem: &mut MemoryImage, m: MemId, rng: &mut StdRng, range: std::ops::Range<f64>) {
     let len = mem.buf(m).len();

@@ -122,16 +122,6 @@ pub fn all_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// The four benchmarks tuned in Figure 7.
-pub fn figure7_workloads() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(swim::SwimCalc3::new()),
-        Box::new(mgrid::MgridResid::new()),
-        Box::new(art::ArtMatch::new()),
-        Box::new(equake::EquakeSmvp::new()),
-    ]
-}
-
 /// Find a workload by benchmark name (case-insensitive).
 pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
     all_workloads()
