@@ -10,7 +10,7 @@
 //! contexts of the same TS can settle on different versions — the payoff
 //! the paper's §2.2 anticipates for adaptive use.
 
-use crate::context::{reduce_key, ContextKey};
+use crate::context::ContextKey;
 use crate::harness::RunHarness;
 use crate::stats::Window;
 use crate::version_cache::VersionCache;
@@ -49,7 +49,6 @@ pub struct AdaptiveTuner {
     candidates: Vec<OptConfig>,
     versions: Vec<Arc<dyn TierBackend>>,
     sources: Vec<peak_ir::ContextSource>,
-    varying: Vec<usize>,
     /// Run the experiment every `sample_every`-th matching invocation.
     pub sample_every: usize,
     window_min: usize,
@@ -67,21 +66,17 @@ impl AdaptiveTuner {
             .iter()
             .map(|c| VersionCache::global().prepare_workload(workload, spec, *c))
             .collect();
-        // Context structure from the Figure-1 analysis; adaptive tuning
-        // degrades to AVG-per-everything when CBR does not apply.
-        let (sources, varying) =
-            match peak_ir::context_set(workload.program().func(workload.ts())) {
-                peak_ir::ContextAnalysis::Applicable(sources) => {
-                    let varying = (0..sources.len()).collect();
-                    (sources, varying)
-                }
-                peak_ir::ContextAnalysis::NotApplicable(_) => (Vec::new(), Vec::new()),
-            };
+        // Context structure from the Figure-1 analysis, every source kept;
+        // adaptive tuning degrades to AVG-per-everything when CBR does not
+        // apply.
+        let sources = match peak_ir::context_set(workload.program().func(workload.ts())) {
+            peak_ir::ContextAnalysis::Applicable(sources) => sources,
+            peak_ir::ContextAnalysis::NotApplicable(_) => Vec::new(),
+        };
         AdaptiveTuner {
             candidates,
             versions,
             sources,
-            varying,
             sample_every: 4,
             window_min: 8,
             window_max: 64,
@@ -98,7 +93,7 @@ impl AdaptiveTuner {
         let mut tick = 0usize;
         while let Some(args) = h.next_args() {
             invocations += 1;
-            let key = reduce_key(&h.context_key(&self.sources, &args), &self.varying);
+            let key = h.context_key(&self.sources, &args);
             let n_versions = self.versions.len();
             let st = states.entry(key).or_insert_with(|| CtxState {
                 best: 0,
@@ -112,7 +107,10 @@ impl AdaptiveTuner {
             let experimenting =
                 st.experiment < n_versions && tick.is_multiple_of(self.sample_every);
             let vi = if experimenting { st.experiment } else { st.best };
-            let (measured, _) = h.execute_timed(&*self.versions[vi], &args, &opts);
+            let (measured, _) = h
+                .try_execute_timed(&*self.versions[vi], &args, &opts)
+                .unwrap_or_else(|e| panic!("workload {} failed: {e}", h.workload().name()));
+            let measured = measured.expect("no fault plan, no dropout");
             if experimenting {
                 sampling += 1;
                 st.exp_window.push(measured as f64);

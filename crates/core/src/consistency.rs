@@ -13,11 +13,17 @@
 //! contexts and counter rows. Each cell therefore simulates one run and
 //! records per invocation what a measured run reads from it; measured run
 //! `r` is `NoisyTimer::new(spec, base + r)` drawn over that record in
-//! order, one draw per timed execution, as `RunHarness::execute_timed`
-//! would draw.
+//! order, one draw per timed execution, as a fault-free
+//! `RunHarness::try_execute_timed` would draw.
+//!
+//! The collectors run the rating layer's own pieces, not copies of them:
+//! the CBR plan's context classifier, the MBR model's fit, and the
+//! improved RBR protocol of `RunHarness`, read as true cycles, with the
+//! rating layer's `T_base / T_cand` rule.
 
 use crate::consultant::{consult, Consultation, Method};
 use crate::harness::RunHarness;
+use crate::rating::rbr_ratio;
 use crate::stats;
 use crate::version_cache::{VersionCache, VersionKey};
 use peak_ir::Value;
@@ -184,8 +190,7 @@ fn cbr_rows(
     // has filled every context.
     let mut filled = vec![0; n_ctx];
     let trace = simulate(workload, spec, tracer, |h, args| {
-        let key = crate::context::reduce_key(&h.context_key(&plan.sources, args), &plan.varying);
-        let ctx = plan.contexts.iter().position(|(k, _)| *k == key);
+        let ctx = plan.context_of(h, args);
         if let Some(c) = ctx {
             filled[c] += 1;
         }
@@ -273,10 +278,7 @@ fn mbr_row(
             let vs: Vec<f64> = times
                 .chunks_exact(w)
                 .zip(counts.chunks_exact(w))
-                .filter_map(|(t, c)| {
-                    let (ft, fc) = stats::trimmed_rows(t, c);
-                    crate::linreg::solve(&ft, &fc).map(|reg| model.eval_of(&reg))
-                })
+                .filter_map(|(t, c)| model.fit(t, c).map(|(eval, _)| eval))
                 .collect();
             let vbar = vs.iter().sum::<f64>() / vs.len().max(1) as f64;
             let xs: Vec<f64> = vs.iter().map(|v| v / vbar - 1.0).collect();
@@ -301,32 +303,15 @@ fn rbr_row(
     consultation: &Consultation,
     tracer: &Tracer,
 ) -> (ConsistencyRow, usize) {
-    let plan = &consultation.rbr;
     let pv = VersionCache::global().prepare_workload(workload, spec, OptConfig::o3());
-    let opts_plain = ExecOptions::default();
-    let opts_record = ExecOptions { record_writes: true, num_counters: 0 };
-    // Improved protocol, experimental version = base version: each
-    // invocation's two timed executions, after the precondition pass and
-    // the restore, up to one per sample.
+    // The rating layer's improved protocol, experimental version = base
+    // version: each invocation's two timed executions, up to one per
+    // sample.
     let mut sampled = 0;
     let trace = simulate(workload, spec, tracer, |h, args| {
-        let pair = if plan.inspector {
-            let res = h.execute(&*pv, args, &opts_record);
-            let cells: Vec<(peak_ir::MemId, i64)> =
-                res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
-            let vals: Vec<Value> = res.writes.iter().map(|(_, _, v)| *v).collect();
-            h.restore_cells(&cells, &vals);
-            let t1 = h.execute(&*pv, args, &opts_plain).true_cycles;
-            h.restore_cells(&cells, &vals);
-            (t1, h.execute(&*pv, args, &opts_plain).true_cycles)
-        } else {
-            let snap = h.save_regions(&plan.modified_regions);
-            let _ = h.execute(&*pv, args, &opts_plain);
-            h.restore_regions(&snap);
-            let t1 = h.execute(&*pv, args, &opts_plain).true_cycles;
-            h.restore_regions(&snap);
-            (t1, h.execute(&*pv, args, &opts_plain).true_cycles)
-        };
+        let pair = h
+            .rbr_improved(&consultation.rbr, &*pv, [&*pv, &*pv], args, |_, cycles| cycles)
+            .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
         sampled += 1;
         (pair, sampled < RAW_SAMPLES)
     });
@@ -338,13 +323,11 @@ fn rbr_row(
         runs += 1;
         seed += 1;
         let mut timer = NoisyTimer::new(spec, seed);
-        for &(c1, c2) in &trace {
+        for &[c1, c2] in &trace {
             if samples.len() >= RAW_SAMPLES {
                 break;
             }
-            let (t1, t2) = (timer.measure(c1), timer.measure(c2));
-            let (num, den) = if flip { (t2, t1) } else { (t1, t2) };
-            samples.push(num as f64 / den.max(1) as f64);
+            samples.push(rbr_ratio(timer.measure(c1), timer.measure(c2), flip));
             flip = !flip;
         }
     }

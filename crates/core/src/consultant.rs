@@ -3,9 +3,12 @@
 //! order (CBR → MBR → RBR), based on compile-time analysis plus a profile
 //! run with the tuning input.
 
-use crate::context::{ContextKey, ContextProfile};
+use crate::context::{reduce_key, ContextKey, ContextProfile};
+use crate::harness::RunHarness;
 use crate::mbr::{self, MbrModel};
-use peak_ir::{context_set, mem_effects, ContextAnalysis, ContextSource, MemId, MemoryImage};
+use peak_ir::{
+    context_set, mem_effects, ContextAnalysis, ContextSource, MemId, MemoryImage, Value,
+};
 use peak_workloads::{Dataset, Workload};
 use peak_util::{Json, ToJson};
 use rand::rngs::StdRng;
@@ -85,9 +88,13 @@ pub struct CbrPlan {
 }
 
 impl CbrPlan {
-    /// The most frequent context (offline tuning rates this one, §2.2).
-    pub fn important_context(&self) -> &ContextKey {
-        &self.contexts[0].0
+    /// The context of the invocation `h` is about to run: the index in
+    /// `contexts` of its key with the run-time constants removed (0 is
+    /// the most frequent, the one offline tuning rates, §2.2), or `None`
+    /// for a context the profile never saw.
+    pub(crate) fn context_of(&self, h: &RunHarness<'_>, args: &[Value]) -> Option<usize> {
+        let key = reduce_key(&h.context_key(&self.sources, args), &self.varying);
+        self.contexts.iter().position(|(k, _)| *k == key)
     }
 }
 
@@ -117,6 +124,18 @@ pub struct Consultation {
     /// Applicable methods, least-overhead first (the initial choice is
     /// the first; rating-time failures move down the list, §3).
     pub order: Vec<Method>,
+}
+
+impl Consultation {
+    /// Whether `method` can rate this TS: CBR needs a context plan and MBR
+    /// a model; RBR and the WHL and AVG baselines always apply.
+    pub(crate) fn applies(&self, method: Method) -> bool {
+        match method {
+            Method::Cbr => self.cbr.is_some(),
+            Method::Mbr => self.mbr.is_some(),
+            Method::Rbr | Method::Whl | Method::Avg => true,
+        }
+    }
 }
 
 /// Context-count budget for CBR (MGRID's 12-level stream exceeds this —
@@ -171,19 +190,7 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
             profile.record(crate::context::key_for(&sources, &args, &mem));
         }
         let varying = profile.varying_sources();
-        // Reduce keys to varying sources and histogram them.
-        let mut reduced = ContextProfile::new(varying.len());
-        {
-            let mut mem = MemoryImage::new(prog);
-            let mut rng = StdRng::seed_from_u64(0x7472_6169_6e00);
-            workload.setup(Dataset::Train, &mut mem, &mut rng);
-            for inv in 0..n {
-                let args = workload.args(Dataset::Train, inv, &mut mem, &mut rng);
-                let key = crate::context::key_for(&sources, &args, &mem);
-                reduced.record(crate::context::reduce_key(&key, &varying));
-            }
-        }
-        let contexts = reduced.context_histogram();
+        let contexts = profile.context_histogram(&varying);
         let within_budget = contexts.len() <= MAX_CBR_CONTEXTS
             && contexts.first().is_some_and(|(_, c)| *c >= MIN_CONTEXT_HITS.min(n / 4));
         if !contexts.is_empty() {
@@ -219,7 +226,6 @@ fn profile_mbr_quality(
     spec: &peak_sim::MachineSpec,
     model: &mut MbrModel,
 ) -> bool {
-    use crate::harness::RunHarness;
     use crate::version_cache::{VersionCache, VersionKey};
     let cfg = peak_opt::OptConfig::o3();
     let pv = VersionCache::global().get_or_prepare(
@@ -235,8 +241,10 @@ fn profile_mbr_quality(
     let n = PROFILE_INVOCATIONS.min(workload.invocations(Dataset::Train));
     for _ in 0..n {
         let Some(args) = h.next_args() else { break };
-        let (measured, res) = h.execute_timed(&*pv, &args, &opts);
-        times.push(measured as f64);
+        let (measured, res) = h
+            .try_execute_timed(&*pv, &args, &opts)
+            .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
+        times.push(measured.expect("no fault plan, no dropout") as f64);
         counts.push(model.count_row(&args, &res.counters));
     }
     // Trim outlier rows jointly (by time) before fitting.

@@ -64,23 +64,15 @@ impl ContextProfile {
             .collect()
     }
 
-    /// Number of distinct full contexts observed.
-    pub fn distinct_contexts(&self) -> usize {
-        let mut keys: Vec<&ContextKey> = self.observed.iter().collect();
-        keys.sort();
-        keys.dedup();
-        keys.len()
-    }
-
-    /// Invocation counts per context, most frequent first (CBR rates the
-    /// "most important context" in the offline scenario, paper §2.2).
-    pub fn context_histogram(&self) -> Vec<(ContextKey, usize)> {
-        let mut hist: HashMap<&ContextKey, usize> = HashMap::new();
+    /// Invocation counts per context, keys reduced to the `varying`
+    /// sources, most frequent first (CBR rates the "most important
+    /// context" in the offline scenario, paper §2.2).
+    pub fn context_histogram(&self, varying: &[usize]) -> Vec<(ContextKey, usize)> {
+        let mut hist: HashMap<ContextKey, usize> = HashMap::new();
         for k in &self.observed {
-            *hist.entry(k).or_insert(0) += 1;
+            *hist.entry(reduce_key(k, varying)).or_insert(0) += 1;
         }
-        let mut out: Vec<(ContextKey, usize)> =
-            hist.into_iter().map(|(k, c)| (k.clone(), c)).collect();
+        let mut out: Vec<(ContextKey, usize)> = hist.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
@@ -118,7 +110,7 @@ mod tests {
             p.record(ContextKey(vec![42, i % 3]));
         }
         assert_eq!(p.varying_sources(), vec![1], "source 0 is a run-time constant");
-        assert_eq!(p.distinct_contexts(), 3);
+        assert_eq!(p.context_histogram(&[1]).len(), 3);
     }
 
     #[test]
@@ -130,7 +122,7 @@ mod tests {
         for _ in 0..3 {
             p.record(ContextKey(vec![2]));
         }
-        let h = p.context_histogram();
+        let h = p.context_histogram(&[0]);
         assert_eq!(h[0], (ContextKey(vec![1]), 7));
         assert_eq!(h[1], (ContextKey(vec![2]), 3));
     }

@@ -7,8 +7,9 @@
 //! and cycle accounting that includes the rest-of-program cost — the
 //! quantity WHL tuning pays in full and the section-level methods avoid.
 
+use crate::consultant::RbrPlan;
 use crate::context::ContextKey;
-use peak_ir::{MemoryImage, Value};
+use peak_ir::{MemId, MemoryImage, Value};
 use peak_sim::{
     AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, FaultPlan, MachineSpec,
     MachineState, TierBackend,
@@ -212,20 +213,6 @@ impl<'w> RunHarness<'w> {
         version.execute(args, &mut self.mem, &self.amap, &mut self.machine, opts, &mut self.scratch)
     }
 
-    /// Measure an execution: run it and return the *noisy* measured time
-    /// alongside the result. Legacy interface: fault-induced dropout does
-    /// not apply here (use [`RunHarness::try_execute_timed`] for that).
-    pub fn execute_timed(
-        &mut self,
-        version: &dyn TierBackend,
-        args: &[Value],
-        opts: &ExecOptions,
-    ) -> (u64, ExecResult) {
-        let res = self.execute(version, args, opts);
-        let measured = self.machine.timer.measure(res.true_cycles);
-        (measured, res)
-    }
-
     /// Measure an execution through the fault layer: `Ok((None, res))`
     /// means the invocation ran (cycles charged) but its reading was lost
     /// to an injected dropout; `Err` means the execution itself failed
@@ -278,25 +265,51 @@ impl<'w> RunHarness<'w> {
         }
     }
 
-    /// RBR inspector support: save/restore an explicit cell list (paper
-    /// §2.4.2's inspector for irregular writes).
-    pub fn save_cells(&mut self, cells: &[(peak_ir::MemId, i64)]) -> Vec<Value> {
-        let mut vals = Vec::with_capacity(cells.len());
-        for &(m, i) in cells {
-            vals.push(self.mem.load(m, i));
-            let c = self.machine.caches.access(self.amap.addr(m, i));
-            self.machine.cycles += c + COPY_OVERHEAD_PER_ELEM;
-        }
-        vals
-    }
-
-    /// Restore cells saved with [`RunHarness::save_cells`].
-    pub fn restore_cells(&mut self, cells: &[(peak_ir::MemId, i64)], vals: &[Value]) {
-        for (&(m, i), &v) in cells.iter().zip(vals) {
+    /// RBR inspector support: roll back an execution's write log (paper
+    /// §2.4.2's inspector for irregular writes), charged like a copy.
+    fn restore_cells(&mut self, log: &[(MemId, i64, Value)]) {
+        for &(m, i, v) in log {
             self.mem.store(m, i, v);
             let c = self.machine.caches.access(self.amap.addr(m, i));
             self.machine.cycles += c + COPY_OVERHEAD_PER_ELEM;
         }
+    }
+
+    /// The improved RBR protocol (paper Fig. 4) on this invocation: save
+    /// the modified input, warm the cache with a precondition run of
+    /// `base`, restore, then run `timed[0]` and `timed[1]` under the
+    /// identical context, restoring in between. The second execution's
+    /// (correct) results stay in memory. `read` turns each timed
+    /// execution's true cycles into its reading, on the machine that ran
+    /// it; the readings come back in execution order.
+    ///
+    /// With the write inspector the precondition run records the undo
+    /// log itself; otherwise the modified regions are copied. The unused
+    /// undo record stays empty, so restoring it costs nothing.
+    pub(crate) fn rbr_improved<T>(
+        &mut self,
+        plan: &RbrPlan,
+        base: &dyn TierBackend,
+        timed: [&dyn TierBackend; 2],
+        args: &[Value],
+        mut read: impl FnMut(&mut MachineState, u64) -> T,
+    ) -> Result<[T; 2], ExecError> {
+        let plain = ExecOptions::default();
+        let (log, snap) = if plan.inspector {
+            let record = ExecOptions { record_writes: true, num_counters: 0 };
+            (self.try_execute(base, args, &record)?.writes, Vec::new())
+        } else {
+            let snap = self.save_regions(&plan.modified_regions);
+            self.try_execute(base, args, &plain)?;
+            (Vec::new(), snap)
+        };
+        let mut time = |h: &mut Self, version: &dyn TierBackend| -> Result<T, ExecError> {
+            h.restore_cells(&log);
+            h.restore_regions(&snap);
+            let res = h.try_execute(version, args, &plain)?;
+            Ok(read(&mut h.machine, res.true_cycles))
+        };
+        Ok([time(self, timed[0])?, time(self, timed[1])?])
     }
 
     /// Total true cycles this run has consumed so far (TS + rest of
@@ -349,44 +362,26 @@ mod tests {
         let mut h = RunHarness::new(&w, Dataset::Train, &spec, seed);
         let mut invs = Vec::new();
         while let Some(args) = h.next_args() {
-            let (measured, r) = h.execute_timed(&pv, &args, &opts);
-            invs.push((r.true_cycles, model.count_row(&args, &r.counters), measured));
+            let (measured, r) = h.try_execute_timed(&pv, &args, &opts).unwrap();
+            invs.push((r.true_cycles, model.count_row(&args, &r.counters), measured.unwrap()));
         }
         (invs, SimMetrics::snapshot(&h.machine))
     }
 
     /// A whole train run of the improved RBR protocol with -O3 on both
-    /// sides, untimed: per invocation the true cycles of the two timed
-    /// executions, and the run's final machine counters.
+    /// sides, read as Table 1 reads it: per invocation the true cycles of
+    /// the two timed executions, and the run's final machine counters.
     fn rbr_run(
         w: &dyn Workload,
         spec: &MachineSpec,
         plan: &crate::consultant::RbrPlan,
         seed: u64,
-    ) -> (Vec<(u64, u64)>, SimMetrics) {
+    ) -> (Vec<[u64; 2]>, SimMetrics) {
         let pv = prepared(w, OptConfig::o3(), spec);
-        let plain = ExecOptions::default();
-        let record = ExecOptions { record_writes: true, num_counters: 0 };
         let mut h = RunHarness::new(w, Dataset::Train, spec, seed);
         let mut pairs = Vec::new();
         while let Some(args) = h.next_args() {
-            let pair = if plan.inspector {
-                let res = h.execute(&pv, &args, &record);
-                let cells: Vec<_> = res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
-                let vals: Vec<_> = res.writes.iter().map(|(_, _, v)| *v).collect();
-                h.restore_cells(&cells, &vals);
-                let t1 = h.execute(&pv, &args, &plain).true_cycles;
-                h.restore_cells(&cells, &vals);
-                (t1, h.execute(&pv, &args, &plain).true_cycles)
-            } else {
-                let snap = h.save_regions(&plan.modified_regions);
-                h.execute(&pv, &args, &plain);
-                h.restore_regions(&snap);
-                let t1 = h.execute(&pv, &args, &plain).true_cycles;
-                h.restore_regions(&snap);
-                (t1, h.execute(&pv, &args, &plain).true_cycles)
-            };
-            pairs.push(pair);
+            pairs.push(h.rbr_improved(plan, &pv, [&pv, &pv], &args, |_, cycles| cycles).unwrap());
         }
         (pairs, SimMetrics::snapshot(&h.machine))
     }
@@ -438,7 +433,8 @@ mod tests {
         let pv = prepared(&w, OptConfig::o3(), &spec);
         let mut h = RunHarness::new(&w, Dataset::Train, &spec, 42);
         let args = h.next_args().unwrap();
-        let (measured, res) = h.execute_timed(&pv, &args, &ExecOptions::default());
+        let (measured, res) = h.try_execute_timed(&pv, &args, &ExecOptions::default()).unwrap();
+        let measured = measured.expect("no fault plan, no dropout");
         let rel = (measured as f64 - res.true_cycles as f64).abs() / res.true_cycles as f64;
         assert!(rel < 0.3, "noise within reason: {rel}");
     }

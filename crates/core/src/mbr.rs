@@ -216,6 +216,15 @@ impl MbrModel {
         }
     }
 
+    /// Fit the model to timed rows, outlier rows trimmed jointly by time:
+    /// the rating's (EVAL, VAR), or `None` when the regression is
+    /// singular.
+    pub(crate) fn fit(&self, times: &[f64], counts: &[Vec<f64>]) -> Option<(f64, f64)> {
+        let (t, c) = crate::stats::trimmed_rows(times, counts);
+        let reg = linreg::solve(&t, &c)?;
+        Some((self.eval_of(&reg), reg.var))
+    }
+
     /// Number of components (including the constant one).
     pub fn num_components(&self) -> usize {
         self.comps.len()

@@ -5,13 +5,26 @@
 //! All methods report *relative improvement over the base version*
 //! (`> 1` = candidate faster), so the search can compare candidates
 //! uniformly regardless of how the rating was obtained.
+//!
+//! The window methods (CBR and AVG, MBR, RBR) differ only in what they do
+//! with one invocation. One driver, `sample_runs`, owns the rest: it
+//! starts up to `MAX_RUNS_PER_RATING` application runs, counts every
+//! invocation, applies the crash rule (an injected crash abandons the
+//! run, any other execution error panics), and ends the rating mid-run
+//! when no version wants samples or at a run's end when the method is
+//! done. CBR/AVG and RBR turn their windows into a [`RateOutcome`] the
+//! same way (`window_outcome`); WHL times one whole run per version. The
+//! Table 1 collectors ([`crate::consistency`]) run this layer's context
+//! classifier, MBR fit and improved RBR protocol.
 
-use crate::consultant::{Consultation, Method};
+use crate::consultant::{CbrPlan, Consultation, Method, RbrPlan};
 use crate::harness::RunHarness;
 use crate::job::CancelToken;
+use crate::mbr::MbrModel;
 use crate::sched::Pool;
-use crate::stats::{least_sampled_open, trimmed_rows, Window};
+use crate::stats::{least_sampled_open, Window};
 use crate::version_cache::{VersionCache, VersionKey};
+use peak_ir::Value;
 use peak_obs::{event, Tracer};
 use peak_opt::{CompiledVersion, OptConfig};
 use peak_sim::{
@@ -229,6 +242,16 @@ impl<'w> TuningSetup<'w> {
         VersionCache::global().get_or_prepare(key, &self.spec, &self.tracer, compile)
     }
 
+    /// [`TuningSetup::version`] of `base`, then of each candidate in order.
+    fn versions(
+        &mut self,
+        base: OptConfig,
+        candidates: &[OptConfig],
+        instrumented: bool,
+    ) -> Vec<Arc<dyn TierBackend>> {
+        std::iter::once(&base).chain(candidates).map(|c| self.version(*c, instrumented)).collect()
+    }
+
     /// The cache key of version `cfg` and the compile that builds it, from
     /// the workload's TS or, when `instrumented`, the MBR-instrumented TS.
     fn version_request(
@@ -407,17 +430,17 @@ pub fn rate_with(
     // the tracer opted in (it breaks trace byte-identity).
     let (runs0, inv0, cyc0) = (setup.runs_used, setup.invocations_used, setup.tuning_cycles);
     let wall0 = tracer.wall_ns();
-    let out = match method {
-        Method::Cbr => {
-            setup.consult.cbr.is_some().then(|| rate_cbr(setup, base, candidates, true, opts))
-        }
-        Method::Avg => Some(rate_cbr(setup, base, candidates, false, opts)),
+    let consult = setup.consultation();
+    let out = consult.applies(method).then(|| match method {
+        Method::Cbr => rate_cbr(setup, base, candidates, consult.cbr.as_ref(), opts),
+        Method::Avg => rate_cbr(setup, base, candidates, None, opts),
         Method::Mbr => {
-            setup.consult.mbr.is_some().then(|| rate_mbr(setup, base, candidates, opts))
+            let model = consult.mbr.as_ref().expect("MBR applies only with a model");
+            rate_mbr(setup, base, candidates, model, opts)
         }
-        Method::Rbr => Some(rate_rbr(setup, base, candidates, true, opts)),
-        Method::Whl => Some(rate_whl(setup, base, candidates)),
-    };
+        Method::Rbr => rate_rbr(setup, base, candidates, &consult.rbr, true, opts),
+        Method::Whl => rate_whl(setup, base, candidates),
+    });
     if tracer.enabled() {
         match &out {
             Some(o) => {
@@ -450,125 +473,153 @@ pub fn rate_with(
     out
 }
 
-/// CBR (and, with `use_context = false`, the AVG baseline): average the
-/// measured times of invocations — grouped by the most important context
-/// for CBR, indiscriminately for AVG.
+/// The crash rule: an injected crash abandons the run (the process
+/// died); any other execution error is a defect and panics.
+fn abandon_run(workload: &dyn Workload, e: ExecError) {
+    if !matches!(e, ExecError::InjectedCrash { .. }) {
+        panic!("workload {} failed: {e}", workload.name());
+    }
+}
+
+/// The sampling driver of the window methods (CBR/AVG, MBR, RBR): start
+/// up to [`MAX_RUNS_PER_RATING`] runs and hand every invocation, counted,
+/// to the method's `step` together with its sampling `state`. The step
+/// executes what the invocation needs, or returns `None` when no version
+/// wants samples: the run is absorbed and the rating ends mid-run. A
+/// failed execution abandons the run under the crash rule. At each run's
+/// end the rating stops once `done` holds. Returns the runs abandoned to
+/// a crash.
+fn sample_runs<S>(
+    setup: &mut TuningSetup<'_>,
+    state: &mut S,
+    mut step: impl FnMut(&mut S, &mut RunHarness<'_>, &[Value]) -> Option<Result<(), ExecError>>,
+    done: impl Fn(&S) -> bool,
+) -> u64 {
+    let mut crashes = 0;
+    for _ in 0..MAX_RUNS_PER_RATING {
+        let mut h = setup.new_run();
+        let mut stop = false;
+        while let Some(args) = h.next_args() {
+            setup.invocations_used += 1;
+            match step(state, &mut h, &args) {
+                Some(Ok(())) => {}
+                Some(Err(e)) => {
+                    abandon_run(setup.workload, e);
+                    crashes += 1;
+                    break;
+                }
+                None => {
+                    stop = true;
+                    break;
+                }
+            }
+        }
+        setup.absorb_run(&h);
+        if stop || done(state) {
+            break;
+        }
+    }
+    crashes
+}
+
+/// A window method's outcome, announced by its `window.state` event. CBR
+/// and AVG keep the base's own window at index 0 and rate a candidate by
+/// base mean / candidate mean; RBR samples are already `T_base / T_cand`.
+/// A candidate whose window holds no sample rates 1.
+fn window_outcome(
+    setup: &TuningSetup<'_>,
+    method: Method,
+    windows: &[Window],
+    dropouts: u64,
+    crashes: u64,
+) -> RateOutcome {
+    if setup.tracer.enabled() {
+        let lens: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
+        let cvs: Vec<f64> = windows.iter().map(Window::mean_cv).collect();
+        let t = &setup.tracer;
+        let name = method.name().to_ascii_lowercase();
+        event!(
+            t,
+            "window.state",
+            method = name.as_str(),
+            lens = lens.to_json(),
+            cvs = cvs.to_json()
+        );
+    }
+    let (base_eval, rated) = match method {
+        Method::Rbr => (None, windows),
+        _ => (Some(windows[0].summary().mean.max(1.0)), &windows[1..]),
+    };
+    let improvements = rated
+        .iter()
+        .map(|w| match (w.summary(), base_eval) {
+            (s, _) if s.n == 0 => 1.0,
+            (s, Some(base_eval)) => base_eval / s.mean.max(1.0),
+            (s, None) => s.mean,
+        })
+        .collect();
+    RateOutcome {
+        improvements,
+        vars: rated.iter().map(Window::mean_cv).collect(),
+        unconverged: windows.iter().filter(|w| !w.converged()).count(),
+        method,
+        samples: windows.iter().map(Window::len).sum(),
+        trimmed: windows.iter().map(Window::rejected).sum(),
+        dropouts,
+        crashes,
+    }
+}
+
+/// CBR, or with no plan the AVG baseline: average the measured times of
+/// invocations — those of the most important context for CBR, all of
+/// them for AVG.
 fn rate_cbr(
     setup: &mut TuningSetup<'_>,
     base: OptConfig,
     candidates: &[OptConfig],
-    use_context: bool,
+    plan: Option<&CbrPlan>,
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let (sources, varying, important) = if use_context {
-        let plan = setup.consult.cbr.as_ref().expect("CBR plan");
-        (plan.sources.clone(), plan.varying.clone(), plan.important_context().clone())
-    } else {
-        (Vec::new(), Vec::new(), crate::context::ContextKey(Vec::new()))
-    };
-    let (wmin, wmax, thr) = if use_context { CBR_WINDOW } else { AVG_WINDOW };
+    let (wmin, wmax, thr) = if plan.is_some() { CBR_WINDOW } else { AVG_WINDOW };
     let wmax = scaled(wmax, ropts.window_scale);
     // Window per version: index 0 = base.
-    let mut all: Vec<OptConfig> = vec![base];
-    all.extend_from_slice(candidates);
-    let mut windows: Vec<Window> = (0..all.len()).map(|_| Window::with(wmin, wmax, thr)).collect();
-    let versions: Vec<Arc<dyn TierBackend>> =
-        all.iter().map(|c| setup.version(*c, false)).collect();
+    let versions = setup.versions(base, candidates, false);
+    let mut windows: Vec<Window> = versions.iter().map(|_| Window::with(wmin, wmax, thr)).collect();
     let opts = ExecOptions::default();
-    let mut dropouts = 0u64;
-    let mut crashes = 0u64;
-    let mut ctx_matches = 0u64;
-    let mut ctx_misses = 0u64;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            let matches = if use_context {
-                let key = h.context_key(&sources, &args);
-                let m = crate::context::reduce_key(&key, &varying) == important;
-                if m {
-                    ctx_matches += 1;
-                } else {
-                    ctx_misses += 1;
-                }
-                m
-            } else {
-                true
-            };
-            if !matches {
-                // Off-context invocation: run the base version to keep the
-                // program advancing; its timing is not comparable.
-                match h.try_execute(&*versions[0], &args, &opts) {
-                    Ok(_) => {}
-                    Err(ExecError::InjectedCrash { .. }) => {
-                        crashes += 1;
-                        break; // abandon the run: the process died
-                    }
-                    Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-                }
-                continue;
+    let (mut dropouts, mut ctx_matches, mut ctx_misses) = (0u64, 0u64, 0u64);
+    let step = |windows: &mut Vec<Window>, h: &mut RunHarness<'_>, args: &[Value]| {
+        if let Some(plan) = plan {
+            // Offline tuning rates the most important context,
+            // `contexts[0]` (§2.2). Any other invocation runs the base to
+            // keep the program advancing; its timing is not comparable.
+            if plan.context_of(h, args) != Some(0) {
+                ctx_misses += 1;
+                return Some(h.try_execute(&*versions[0], args, &opts).map(drop));
             }
-            let Some(i) = least_sampled_open(&windows) else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            match h.try_execute_timed(&*versions[i], &args, &opts) {
-                Ok((Some(measured), _)) => windows[i].push(measured as f64),
-                Ok((None, _)) => dropouts += 1,
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-            }
+            ctx_matches += 1;
         }
-        setup.absorb_run(&h);
-        if !windows.iter().any(Window::is_open) {
-            break;
-        }
-    }
-    if use_context {
+        let i = least_sampled_open(windows)?;
+        Some(h.try_execute_timed(&*versions[i], args, &opts).map(|(measured, _)| match measured {
+            Some(t) => windows[i].push(t as f64),
+            None => dropouts += 1,
+        }))
+    };
+    let crashes = sample_runs(setup, &mut windows, step, |w| !w.iter().any(Window::is_open));
+    if plan.is_some() {
         let t = setup.tracer.clone();
         event!(t, "cbr.context", matches = ctx_matches, misses = ctx_misses);
     }
-    if setup.tracer.enabled() {
-        let lens: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
-        let cvs: Vec<f64> = windows.iter().map(Window::mean_cv).collect();
-        let t = setup.tracer.clone();
-        event!(
-            t,
-            "window.state",
-            method = if use_context { "cbr" } else { "avg" },
-            lens = lens.to_json(),
-            cvs = cvs.to_json(),
-        );
-    }
-    let base_eval = windows[0].summary().mean.max(1.0);
-    let improvements = windows[1..]
-        .iter()
-        .map(|w| {
-            let s = w.summary();
-            if s.n == 0 {
-                1.0
-            } else {
-                base_eval / s.mean.max(1.0)
-            }
-        })
-        .collect();
-    let vars = windows[1..].iter().map(|w| w.mean_cv()).collect();
-    let unconverged = windows.iter().filter(|w| !w.converged()).count();
-    let samples = windows.iter().map(|w| w.len()).sum();
-    let trimmed = windows.iter().map(|w| w.rejected()).sum();
-    RateOutcome {
-        improvements,
-        vars,
-        unconverged,
-        method: if use_context { Method::Cbr } else { Method::Avg },
-        samples,
-        trimmed,
-        dropouts,
-        crashes,
-    }
+    let method = if plan.is_some() { Method::Cbr } else { Method::Avg };
+    window_outcome(setup, method, &windows, dropouts, crashes)
+}
+
+/// One version's MBR rows and its latest fit.
+#[derive(Clone, Default)]
+struct MbrRows {
+    times: Vec<f64>,
+    counts: Vec<Vec<f64>>,
+    /// (EVAL, VAR) of the latest successful fit.
+    fit: Option<(f64, f64)>,
 }
 
 /// MBR: regression of time on component counts per version (paper §2.3).
@@ -576,112 +627,78 @@ fn rate_mbr(
     setup: &mut TuningSetup<'_>,
     base: OptConfig,
     candidates: &[OptConfig],
+    model: &MbrModel,
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let model = setup.consult.mbr.as_ref().expect("MBR model").clone();
     let max_rows = scaled(MBR_MAX_ROWS, ropts.window_scale);
-    let mut all: Vec<OptConfig> = vec![base];
-    all.extend_from_slice(candidates);
-    let versions: Vec<Arc<dyn TierBackend>> =
-        all.iter().map(|c| setup.version(*c, true)).collect();
+    let versions = setup.versions(base, candidates, true);
     let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
-    let mut times: Vec<Vec<f64>> = vec![Vec::new(); all.len()];
-    let mut counts: Vec<Vec<Vec<f64>>> = vec![Vec::new(); all.len()];
-    let mut evals: Vec<Option<(f64, f64)>> = vec![None; all.len()]; // (eval, var)
+    let mut rows = vec![MbrRows::default(); versions.len()];
     let min_rows = MBR_MIN_ROWS.max(2 * model.num_components());
+    // A version wants rows until its fit converges or it holds `max_rows`.
+    let wants =
+        |r: &MbrRows| r.fit.is_none_or(|(_, var)| var > MBR_VAR_OK) && r.times.len() < max_rows;
     let mut dropouts = 0u64;
-    let mut crashes = 0u64;
     // Version assignment is randomized, not round-robin: a fixed stride
     // phase-locks with periodic context streams (MGRID's V-cycle), giving
     // different versions systematically different context mixes and
     // biasing the fits against each other.
     let mut pick_rng: u64 = 0x9E3779B97F4A7C15;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            pick_rng ^= pick_rng << 13;
-            pick_rng ^= pick_rng >> 7;
-            pick_rng ^= pick_rng << 17;
-            let eligible: Vec<usize> = (0..all.len())
-                .filter(|&i| {
-                    evals[i].is_none_or(|(_, var)| var > MBR_VAR_OK)
-                        && times[i].len() < max_rows
-                })
-                .collect();
-            let pick = if eligible.is_empty() {
-                None
-            } else {
-                Some(eligible[(pick_rng % eligible.len() as u64) as usize])
-            };
-            let Some(i) = pick else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            match h.try_execute_timed(&*versions[i], &args, &opts) {
-                Ok((Some(measured), res)) => {
-                    times[i].push(measured as f64);
-                    counts[i].push(model.count_row(&args, &res.counters));
-                }
-                Ok((None, _)) => {
-                    dropouts += 1;
-                    continue;
-                }
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-            }
-            if times[i].len() >= min_rows && times[i].len().is_multiple_of(8) {
-                let (t, c) = trimmed_rows(&times[i], &counts[i]);
-                if let Some(reg) = crate::linreg::solve(&t, &c) {
-                    evals[i] = Some((model.eval_of(&reg), reg.var));
-                }
-            }
+    let step = |rows: &mut Vec<MbrRows>, h: &mut RunHarness<'_>, args: &[Value]| {
+        pick_rng ^= pick_rng << 13;
+        pick_rng ^= pick_rng >> 7;
+        pick_rng ^= pick_rng << 17;
+        let eligible: Vec<usize> = (0..rows.len()).filter(|&i| wants(&rows[i])).collect();
+        if eligible.is_empty() {
+            return None;
         }
-        setup.absorb_run(&h);
-        if (0..all.len())
-            .all(|i| evals[i].is_some_and(|(_, v)| v <= MBR_VAR_OK) || times[i].len() >= max_rows)
-        {
-            break;
-        }
-    }
+        let i = eligible[(pick_rng % eligible.len() as u64) as usize];
+        Some(h.try_execute_timed(&*versions[i], args, &opts).map(|(measured, res)| {
+            let Some(t) = measured else {
+                dropouts += 1;
+                return;
+            };
+            let r = &mut rows[i];
+            r.times.push(t as f64);
+            r.counts.push(model.count_row(args, &res.counters));
+            if r.times.len() >= min_rows && r.times.len().is_multiple_of(8) {
+                r.fit = model.fit(&r.times, &r.counts).or(r.fit);
+            }
+        }))
+    };
+    let crashes = sample_runs(setup, &mut rows, step, |rows| !rows.iter().any(wants));
     // Final fits for stragglers.
-    for i in 0..all.len() {
-        if evals[i].is_none() {
-            let (t, c) = trimmed_rows(&times[i], &counts[i]);
-            if let Some(reg) = crate::linreg::solve(&t, &c) {
-                evals[i] = Some((model.eval_of(&reg), reg.var));
-            }
-        }
+    for r in rows.iter_mut().filter(|r| r.fit.is_none()) {
+        r.fit = model.fit(&r.times, &r.counts);
     }
     if setup.tracer.enabled() {
-        let rows: Vec<u64> = times.iter().map(|t| t.len() as u64).collect();
+        let lens: Vec<u64> = rows.iter().map(|r| r.times.len() as u64).collect();
         let res_vars: Vec<f64> =
-            evals.iter().map(|e| e.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
-        let fitted: Vec<bool> = evals.iter().map(Option::is_some).collect();
+            rows.iter().map(|r| r.fit.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
+        let fitted: Vec<bool> = rows.iter().map(|r| r.fit.is_some()).collect();
         let t = setup.tracer.clone();
         event!(
             t,
             "mbr.fit",
-            rows = rows.to_json(),
+            rows = lens.to_json(),
             residual_vars = res_vars.to_json(),
             fitted = fitted.to_json(),
             min_rows = min_rows as u64,
         );
     }
-    let base_eval = evals[0].map(|(e, _)| e).unwrap_or(1.0).max(1e-9);
-    let improvements = evals[1..]
+    let base_eval = rows[0].fit.map(|(e, _)| e).unwrap_or(1.0).max(1e-9);
+    let improvements = rows[1..]
         .iter()
-        .map(|e| e.map(|(v, _)| base_eval / v.max(1e-9)).unwrap_or(1.0))
+        .map(|r| r.fit.map(|(v, _)| base_eval / v.max(1e-9)).unwrap_or(1.0))
         .collect();
-    let vars = evals[1..].iter().map(|e| e.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
-    let unconverged = evals.iter().filter(|e| e.is_none_or(|(_, v)| v > MBR_VAR_OK)).count();
-    let samples = times.iter().map(|t| t.len()).sum();
-    let trimmed = times
+    let vars = rows[1..].iter().map(|r| r.fit.map(|(_, v)| v).unwrap_or(f64::INFINITY)).collect();
+    let unconverged = rows.iter().filter(|r| r.fit.is_none_or(|(_, v)| v > MBR_VAR_OK)).count();
+    let samples = rows.iter().map(|r| r.times.len()).sum();
+    let trimmed = rows
         .iter()
-        .map(|t| t.len() - crate::stats::trim_outliers(t, crate::stats::OUTLIER_K).len())
+        .map(|r| {
+            r.times.len() - crate::stats::trim_outliers(&r.times, crate::stats::OUTLIER_K).len()
+        })
         .sum();
     RateOutcome {
         improvements,
@@ -695,150 +712,65 @@ fn rate_mbr(
     }
 }
 
-/// RBR with the improved protocol (paper Fig. 4): per invocation, save
-/// the modified input, warm the cache with a precondition pass, then time
-/// base and candidate back-to-back under the identical context, swapping
-/// their order every invocation.
+/// RBR: per invocation, rate one candidate against the base under the
+/// identical context — with the improved protocol (paper Fig. 4,
+/// [`RunHarness::rbr_improved`]), swapping their order every sample, or
+/// with the basic one (Fig. 3) for the ablation.
 fn rate_rbr(
     setup: &mut TuningSetup<'_>,
     base: OptConfig,
     candidates: &[OptConfig],
+    plan: &RbrPlan,
     improved: bool,
     ropts: &RateOptions,
 ) -> RateOutcome {
-    let plan = setup.consult.rbr.clone();
-    let base_v = setup.version(base, false);
-    let cand_vs: Vec<Arc<dyn TierBackend>> =
-        candidates.iter().map(|c| setup.version(*c, false)).collect();
+    // Index 0 = base.
+    let versions = setup.versions(base, candidates, false);
+    let (base_v, cand_vs) = (&*versions[0], &versions[1..]);
     let (wmin, wmax, thr) = RBR_WINDOW;
     let wmax = scaled(wmax, ropts.window_scale);
-    let mut windows: Vec<Window> =
-        (0..candidates.len()).map(|_| Window::with(wmin, wmax, thr)).collect();
+    let mut windows: Vec<Window> = cand_vs.iter().map(|_| Window::with(wmin, wmax, thr)).collect();
     let mut flip = false;
-    let opts_plain = ExecOptions::default();
-    let opts_record = ExecOptions { record_writes: true, num_counters: 0 };
     let mut dropouts = 0u64;
-    let mut crashes = 0u64;
-    'runs: for _ in 0..MAX_RUNS_PER_RATING {
-        let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            let Some(i) = least_sampled_open(&windows) else {
-                setup.absorb_run(&h);
-                break 'runs;
-            };
-            let r = if improved {
-                rbr_improved_sample(&mut h, &plan, &*base_v, &*cand_vs[i], &args, flip, &opts_plain, &opts_record)
-            } else {
-                rbr_basic_sample(&mut h, &plan, &*base_v, &*cand_vs[i], &args, &opts_plain)
-            };
-            flip = !flip;
-            match r {
-                Ok(Some(sample)) => windows[i].push(sample),
-                Ok(None) => dropouts += 1,
-                Err(ExecError::InjectedCrash { .. }) => {
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
-            }
-        }
-        setup.absorb_run(&h);
-        if !windows.iter().any(Window::is_open) {
-            break;
-        }
-    }
-    if setup.tracer.enabled() {
-        let lens: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
-        let cvs: Vec<f64> = windows.iter().map(|w| w.mean_cv()).collect();
-        let t = setup.tracer.clone();
-        event!(t, "window.state", method = "rbr", lens = lens.to_json(), cvs = cvs.to_json());
-    }
-    let improvements = windows
-        .iter()
-        .map(|w| {
-            let s = w.summary();
-            if s.n == 0 {
-                1.0
-            } else {
-                s.mean
-            }
-        })
-        .collect();
-    let vars = windows.iter().map(|w| w.mean_cv()).collect();
-    let unconverged = windows.iter().filter(|w| !w.converged()).count();
-    let samples = windows.iter().map(|w| w.len()).sum();
-    let trimmed = windows.iter().map(|w| w.rejected()).sum();
-    RateOutcome {
-        improvements,
-        vars,
-        unconverged,
-        method: Method::Rbr,
-        samples,
-        trimmed,
-        dropouts,
-        crashes,
-    }
+    let step = |windows: &mut Vec<Window>, h: &mut RunHarness<'_>, args: &[Value]| {
+        let i = least_sampled_open(windows)?;
+        let cand = &*cand_vs[i];
+        let sample = if improved {
+            let order = if flip { [cand, base_v] } else { [base_v, cand] };
+            h.rbr_improved(plan, base_v, order, args, |m, cycles| m.measure(cycles))
+                .map(|[first, second]| Some(rbr_ratio(first?, second?, flip)))
+        } else {
+            rbr_basic_sample(h, plan, base_v, cand, args)
+        };
+        flip = !flip;
+        Some(sample.map(|s| match s {
+            Some(s) => windows[i].push(s),
+            None => dropouts += 1,
+        }))
+    };
+    let crashes = sample_runs(setup, &mut windows, step, |w| !w.iter().any(Window::is_open));
+    window_outcome(setup, Method::Rbr, &windows, dropouts, crashes)
 }
 
-/// One improved-RBR sample: returns `R = T_base / T_candidate`, or
-/// `Ok(None)` when either timing was lost to injected dropout (the
-/// executions still ran, so program state stays consistent).
-#[allow(clippy::too_many_arguments)]
-fn rbr_improved_sample(
-    h: &mut RunHarness<'_>,
-    plan: &crate::consultant::RbrPlan,
-    base: &dyn TierBackend,
-    cand: &dyn TierBackend,
-    args: &[peak_ir::Value],
-    flip: bool,
-    opts_plain: &ExecOptions,
-    opts_record: &ExecOptions,
-) -> Result<Option<f64>, ExecError> {
-    // 1-4: save the modified input, run the precondition pass (warming the
-    // cache), restore.
-    let undo: UndoState = if plan.inspector {
-        // Inspector: the precondition itself records the undo log.
-        let res = h.try_execute(base, args, opts_record)?;
-        let cells: Vec<(peak_ir::MemId, i64)> =
-            res.writes.iter().map(|(m, i, _)| (*m, *i)).collect();
-        let vals: Vec<peak_ir::Value> = res.writes.iter().map(|(_, _, v)| *v).collect();
-        // Charge the log maintenance like a save pass.
-        h.restore_cells(&cells, &vals);
-        UndoState::Cells(cells, vals)
-    } else {
-        let snap = h.save_regions(&plan.modified_regions);
-        let _ = h.try_execute(base, args, opts_plain)?; // precondition pass
-        h.restore_regions(&snap);
-        UndoState::Regions(snap)
-    };
-    // 5-7: time the two versions under the same context, order alternating.
-    let (first, second) = if flip { (cand, base) } else { (base, cand) };
-    let (t_first, _) = h.try_execute_timed(first, args, opts_plain)?;
-    match &undo {
-        UndoState::Cells(cells, vals) => h.restore_cells(cells, vals),
-        UndoState::Regions(snap) => h.restore_regions(snap),
-    }
-    let (t_second, _) = h.try_execute_timed(second, args, opts_plain)?;
-    // Leave the second execution's (correct) results in memory.
-    let (Some(t_first), Some(t_second)) = (t_first, t_second) else {
-        return Ok(None);
-    };
-    let (t_base, t_cand) = if flip { (t_second, t_first) } else { (t_first, t_second) };
-    Ok(Some(t_base as f64 / t_cand.max(1) as f64))
+/// An RBR sample `R = T_base / T_candidate` from the two timed readings
+/// in execution order; `flip` = the candidate ran first.
+pub(crate) fn rbr_ratio(first: u64, second: u64, flip: bool) -> f64 {
+    let (t_base, t_cand) = if flip { (second, first) } else { (first, second) };
+    t_base as f64 / t_cand.max(1) as f64
 }
 
 /// One basic-RBR sample (paper Fig. 3): save the full input, time base,
 /// restore, time candidate — no precondition pass, no order swap. Biased
-/// by cache warm-up; kept for the ablation benchmark.
+/// by cache warm-up; kept for the ablation benchmark. `Ok(None)` when a
+/// reading was lost to injected dropout.
 fn rbr_basic_sample(
     h: &mut RunHarness<'_>,
-    plan: &crate::consultant::RbrPlan,
+    plan: &RbrPlan,
     base: &dyn TierBackend,
     cand: &dyn TierBackend,
-    args: &[peak_ir::Value],
-    opts: &ExecOptions,
+    args: &[Value],
 ) -> Result<Option<f64>, ExecError> {
+    let opts = ExecOptions::default();
     // Basic method saves the whole (written) input set.
     let mut save: Vec<peak_ir::MemId> = plan.modified_regions.clone();
     for m in &plan.input_regions {
@@ -847,18 +779,10 @@ fn rbr_basic_sample(
         }
     }
     let snap = h.save_regions(&save);
-    let (t_base, _) = h.try_execute_timed(base, args, opts)?;
+    let (t_base, _) = h.try_execute_timed(base, args, &opts)?;
     h.restore_regions(&snap);
-    let (t_cand, _) = h.try_execute_timed(cand, args, opts)?;
-    let (Some(t_base), Some(t_cand)) = (t_base, t_cand) else {
-        return Ok(None);
-    };
-    Ok(Some(t_base as f64 / t_cand.max(1) as f64))
-}
-
-enum UndoState {
-    Cells(Vec<(peak_ir::MemId, i64)>, Vec<peak_ir::Value>),
-    Regions(Vec<(peak_ir::MemId, peak_ir::Buffer)>),
+    let (t_cand, _) = h.try_execute_timed(cand, args, &opts)?;
+    Ok(t_base.zip(t_cand).map(|(b, c)| rbr_ratio(b, c, false)))
 }
 
 /// Expose the basic protocol for the ablation benchmark.
@@ -867,7 +791,8 @@ pub fn rate_rbr_basic(
     base: OptConfig,
     candidates: &[OptConfig],
 ) -> RateOutcome {
-    rate_rbr(setup, base, candidates, false, &RateOptions::default())
+    let consult = setup.consultation();
+    rate_rbr(setup, base, candidates, &consult.rbr, false, &RateOptions::default())
 }
 
 /// WHL: one full application run per version; EVAL = whole-program time
@@ -885,14 +810,11 @@ fn rate_whl(setup: &mut TuningSetup<'_>, base: OptConfig, candidates: &[OptConfi
         let mut h = setup.new_run();
         while let Some(args) = h.next_args() {
             setup.invocations_used += 1;
-            match h.try_execute(&*v, &args, &opts) {
-                Ok(_) => {}
-                Err(ExecError::InjectedCrash { .. }) => {
-                    // Best-effort terminal method: score the partial run.
-                    crashes += 1;
-                    break;
-                }
-                Err(e) => panic!("workload {} failed: {e}", setup.workload.name()),
+            if let Err(e) = h.try_execute(&*v, &args, &opts) {
+                // Best-effort terminal method: score the partial run.
+                abandon_run(setup.workload, e);
+                crashes += 1;
+                break;
             }
         }
         // Whole-program timing is a single wall-clock reading; dropout of
@@ -923,7 +845,8 @@ mod tests {
     use super::*;
     use peak_sim::MachineSpec;
     use peak_workloads::{
-        bzip2::Bzip2FullGtU, equake::EquakeSmvp, swim::SwimCalc3, vortex::VortexChkGetChunk,
+        bzip2::Bzip2FullGtU, crafty::CraftyAttacked, equake::EquakeSmvp, swim::SwimCalc3,
+        vortex::VortexChkGetChunk,
     };
 
     /// Self-comparison sanity: rating the base against itself must give
@@ -956,6 +879,28 @@ mod tests {
             out.improvements,
             out.vars
         );
+    }
+
+    /// Paper §2.4.2: the basic protocol times the second version on a
+    /// cache the first one warmed, which biases a self-rating; the
+    /// improved protocol's precondition run and order swap remove the
+    /// bias. CRAFTY's branchy, data-dependent control shows it.
+    #[test]
+    fn improved_rbr_removes_the_warm_up_bias() {
+        let w = CraftyAttacked::new();
+        let base = OptConfig::o3();
+        let bias = |improved: bool| {
+            let mut setup = TuningSetup::new(&w, MachineSpec::pentium_iv(), Dataset::Train);
+            let out = if improved {
+                rate(&mut setup, Method::Rbr, base, &[base]).expect("RBR applies")
+            } else {
+                rate_rbr_basic(&mut setup, base, &[base])
+            };
+            out.improvements[0] - 1.0
+        };
+        let (basic, improved) = (bias(false), bias(true));
+        assert!(basic.abs() > 0.02, "basic protocol bias {basic:+.4} should show");
+        assert!(improved.abs() < basic.abs(), "improved {improved:+.4} vs basic {basic:+.4}");
     }
 
     #[test]

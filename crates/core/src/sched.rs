@@ -26,23 +26,14 @@
 //!   the calling thread as worker 0, so nested parallelism never
 //!   oversubscribes beyond the configured thread count and always makes
 //!   progress even with zero free tokens.
-//! * **Self-profiling, not self-observing.** With a wall-clock tracer
-//!   installed ([`Pool::with_obs`]) each job emits a `sched.job` event
-//!   with queue/run latencies, its worker, and whether it was stolen.
-//!   Those fields are scheduling-dependent, so the pool emits **only**
-//!   when the tracer opted into wall-clock mode — the mode that is
-//!   already documented as breaking trace byte-reproducibility
-//!   (DESIGN.md §9). Deterministic traces never see pool events.
 //!
 //! Thread count resolution: `PEAK_THREADS` (a positive integer) wins,
 //! else `std::thread::available_parallelism()`. `PEAK_THREADS=1` is the
 //! exact serial path: jobs run inline on the caller in index order.
 
-use peak_obs::Tracer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Poison-tolerant lock: the pool's mutexes guard plain data (token
 /// counts, job indices, result slots) whose invariants hold at every
@@ -136,7 +127,6 @@ pub struct Pool {
     threads: usize,
     budget: Arc<Budget>,
     counters: Arc<Counters>,
-    obs: Tracer,
 }
 
 impl std::fmt::Debug for Pool {
@@ -165,18 +155,7 @@ impl Pool {
             threads,
             budget: Arc::new(Budget { free: Mutex::new(threads - 1) }),
             counters: Arc::new(Counters::default()),
-            obs: Tracer::disabled(),
         }
-    }
-
-    /// Install a self-profiling tracer. Pool events carry
-    /// scheduling-dependent fields (worker, stolen, latencies), so they
-    /// are emitted **only** when `tracer` has wall-clock mode on — the
-    /// mode already defined as non-byte-reproducible. A deterministic
-    /// tracer here is a silent no-op.
-    pub fn with_obs(mut self, tracer: Tracer) -> Pool {
-        self.obs = tracer;
-        self
     }
 
     /// Configured thread target.
@@ -217,7 +196,7 @@ impl Pool {
             // semantics: inline, in index order.
             let out: Vec<T> = (0..n_jobs)
                 .map(|i| {
-                    let r = self.run_job(&f, i, 0, false);
+                    let r = self.run_job(&f, i);
                     self.counters.inline_jobs.fetch_add(1, Ordering::Relaxed);
                     r
                 })
@@ -300,7 +279,7 @@ impl Pool {
             let Some(i) = job else {
                 return; // all deques empty: batch is drained
             };
-            let r = self.run_job(f, i, id, stolen);
+            let r = self.run_job(f, i);
             if stolen {
                 self.counters.stolen.fetch_add(1, Ordering::Relaxed);
             }
@@ -311,29 +290,12 @@ impl Pool {
         }
     }
 
-    fn run_job<T, F>(&self, f: &F, i: usize, worker: usize, stolen: bool) -> T
+    fn run_job<T, F>(&self, f: &F, i: usize) -> T
     where
         F: Fn(usize) -> T,
     {
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        if !(self.obs.enabled() && self.obs.wall_clock()) {
-            return f(i);
-        }
-        let start = Instant::now();
-        let r = f(i);
-        self.obs.emit(
-            "sched.job",
-            vec![
-                ("job".to_owned(), peak_util::Json::U(i as u64)),
-                ("worker".to_owned(), peak_util::Json::U(worker as u64)),
-                ("stolen".to_owned(), peak_util::Json::Bool(stolen)),
-                (
-                    "run_ns".to_owned(),
-                    peak_util::Json::U(start.elapsed().as_nanos() as u64),
-                ),
-            ],
-        );
-        r
+        f(i)
     }
 }
 

@@ -504,10 +504,8 @@ fn rate_frontier_parallel(
     seed_base: u64,
     opts: &RateOptions,
 ) -> Option<RateOutcome> {
-    match method {
-        Method::Cbr if setup.consult.cbr.is_none() => return None,
-        Method::Mbr if setup.consult.mbr.is_none() => return None,
-        _ => {}
+    if !setup.consult.applies(method) {
+        return None;
     }
     let jobs = {
         let shared: &TuningSetup<'_> = setup;
