@@ -25,16 +25,20 @@
 //! plus heavy jitter and shows the supervisor walking the
 //! CBR → MBR → RBR → WHL cascade instead of panicking.
 
+use peak_bench::{machine_kind, run_cells, select_benchmarks, Flags};
 use peak_core::consultant::Method;
 use peak_core::rating::{rate, TuningSetup};
 use peak_core::RatingSupervisor;
 use peak_obs::{event, JsonlSink, TraceSink, Tracer};
 use peak_opt::OptConfig;
-use peak_sim::{FaultConfig, MachineKind, MachineSpec};
+use peak_sim::{FaultConfig, MachineSpec};
 use peak_util::{Json, ToJson};
 use peak_workloads::Dataset;
 use std::io::Write;
 use std::sync::Arc;
+
+const USAGE: &str =
+    "fault_matrix [--machine sparc|p4] [--bench NAME] [--json PATH] [--trace PATH] [--trace-wall]";
 
 /// Fault intensities swept (0.0 = clean control).
 const INTENSITIES: &[f64] = &[0.0, 0.5, 1.0, 2.0];
@@ -68,34 +72,39 @@ impl ToJson for Cell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let machine = arg_value(&args, "--machine").unwrap_or_else(|| "sparc".into());
-    let bench = arg_value(&args, "--bench").unwrap_or_else(|| "swim".into());
-    let json_path = arg_value(&args, "--json");
-    let kind = match machine.as_str() {
-        "p4" | "pentium" | "pentium4" => MachineKind::PentiumIV,
-        "sparc" => MachineKind::SparcII,
-        other => {
-            eprintln!("error: unknown machine `{other}` (expected sparc or p4)");
-            std::process::exit(1);
-        }
-    };
-    let Some(workload) = peak_workloads::workload_by_name(&bench) else {
-        eprintln!("error: unknown benchmark `{bench}`");
-        std::process::exit(1);
-    };
+    let flags = Flags::from_env(
+        USAGE,
+        &["--machine", "--bench", "--json", "--trace"],
+        &["--trace-wall"],
+        0,
+    );
+    let kind = flags.or_exit(machine_kind(flags.value("--machine").unwrap_or("sparc")));
+    let workload = flags
+        .or_exit(select_benchmarks(
+            peak_workloads::all_workloads(),
+            |w| w.name(),
+            Some(flags.value("--bench").unwrap_or("swim")),
+        ))
+        .remove(0);
     let spec = MachineSpec::of(kind);
     let base = OptConfig::o3();
-    let trace_path = arg_value(&args, "--trace");
-    let trace_wall = args.iter().any(|a| a == "--trace-wall");
-    let tracing = trace_path.is_some();
-    let trace_sink: Option<Arc<JsonlSink>> = trace_path.as_ref().map(|path| {
+    let trace_path = flags.value("--trace");
+    let trace_sink: Option<Arc<JsonlSink>> = trace_path.map(|path| {
         Arc::new(JsonlSink::create(std::path::Path::new(path)).expect("create trace file"))
     });
-    let trace_ctx = vec![
-        ("benchmark".to_owned(), Json::Str(workload.name().to_owned())),
-        ("machine".to_owned(), Json::Str(kind.name().to_owned())),
-    ];
+    // Every tracer carries the run's benchmark and machine, and
+    // `--trace-wall` adds the wall-clock self-profiling fields.
+    let stamp = |tracer: Tracer| {
+        let tracer = tracer.with_context(vec![
+            ("benchmark".to_owned(), Json::Str(workload.name().to_owned())),
+            ("machine".to_owned(), Json::Str(kind.name().to_owned())),
+        ]);
+        if flags.has("--trace-wall") {
+            tracer.with_wall_clock()
+        } else {
+            tracer
+        }
+    };
 
     println!(
         "Fault matrix — rating-accuracy degradation under injected faults ({}, {})",
@@ -118,10 +127,8 @@ fn main() {
 
     // Sweep cells are independent (method × intensity): run them as jobs
     // on the shared work-stealing pool (`PEAK_THREADS` overrides the
-    // size). `Pool::run` returns results in job order, so stdout and
-    // JSON are byte-identical at any thread count; each cell buffers its
-    // trace events locally and the buffers are spliced in cell order.
-    let pool = peak_core::Pool::from_env();
+    // size). Results and trace buffers come back in cell order, so
+    // stdout, JSON, and trace are byte-identical at any thread count.
     let sweep: Vec<(Method, f64)> = methods
         .iter()
         .flat_map(|&m| INTENSITIES.iter().map(move |&i| (m, i)))
@@ -129,21 +136,9 @@ fn main() {
     let jobs: Vec<_> = sweep
         .iter()
         .map(|&(method, intensity)| {
-            let workload = workload.as_ref();
-            let spec = &spec;
-            let trace_ctx = &trace_ctx;
-            move || {
-                let (tracer, sink) = if tracing {
-                    let sink = Arc::new(peak_obs::BufferSink::new());
-                    let mut tracer =
-                        Tracer::to_sink(sink.clone()).with_context(trace_ctx.clone());
-                    if trace_wall {
-                        tracer = tracer.with_wall_clock();
-                    }
-                    (tracer, Some(sink))
-                } else {
-                    (Tracer::disabled(), None)
-                };
+            let (workload, spec, stamp) = (workload.as_ref(), &spec, &stamp);
+            move |tracer: Tracer| {
+                let tracer = stamp(tracer);
                 let mut setup = TuningSetup::new(workload, spec.clone(), Dataset::Train);
                 setup.set_tracer(tracer.clone());
                 if intensity > 0.0 {
@@ -157,7 +152,7 @@ fn main() {
                         intensity = intensity,
                     );
                 }
-                let cell = rate(&mut setup, method, base, &[base]).map(|out| Cell {
+                rate(&mut setup, method, base, &[base]).map(|out| Cell {
                     method,
                     intensity,
                     error_pct: (out.improvements[0] - 1.0).abs() * 100.0,
@@ -166,20 +161,13 @@ fn main() {
                     dropouts: out.dropouts,
                     crashes: out.crashes,
                     unconverged: out.unconverged,
-                });
-                (cell, sink.map(|s| s.drain()).unwrap_or_default())
+                })
             }
         })
         .collect();
-    let results: Vec<(Option<Cell>, Vec<String>)> = pool.run(jobs);
-    if let Some(sink) = &trace_sink {
-        for (_, lines) in &results {
-            sink.append_lines(lines.iter());
-        }
-    }
+    let results = run_cells(&peak_core::Pool::from_env(), trace_sink.as_deref(), jobs);
     let mut cells: Vec<Cell> = Vec::new();
-    for (cell, _) in results {
-        let Some(cell) = cell else { continue };
+    for cell in results.into_iter().flatten() {
         println!(
             "{:<6} {:>9.1} {:>10.3} {:>8} {:>8} {:>9} {:>8} {:>12}",
             cell.method.name(),
@@ -196,14 +184,7 @@ fn main() {
     // The crash scenario below runs serially and streams its events
     // straight to the trace file, after the spliced sweep buffers.
     let tracer = match &trace_sink {
-        Some(sink) => {
-            let mut tracer = Tracer::to_sink(sink.clone() as Arc<dyn TraceSink>)
-                .with_context(trace_ctx.clone());
-            if trace_wall {
-                tracer = tracer.with_wall_clock();
-            }
-            tracer
-        }
+        Some(sink) => stamp(Tracer::to_sink(sink.clone())),
         None => Tracer::disabled(),
     };
 
@@ -241,7 +222,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = flags.value("--json") {
         let doc = Json::obj(vec![
             ("benchmark", workload.name().to_json()),
             ("machine", kind.name().to_json()),
@@ -259,12 +240,12 @@ fn main() {
                 ]),
             ),
         ]);
-        let mut f = std::fs::File::create(&path).expect("create json output");
+        let mut f = std::fs::File::create(path).expect("create json output");
         writeln!(f, "{}", doc.pretty()).expect("write json output");
         println!();
         println!("wrote {path}");
     }
-    if let (Some(sink), Some(path)) = (trace_sink, &trace_path) {
+    if let (Some(sink), Some(path)) = (trace_sink, trace_path) {
         sink.flush();
         eprintln!("trace: wrote {path}");
     }
@@ -327,7 +308,3 @@ fn main() {
 const CLEAN_MAX_ERR_PCT: f64 = 5.0;
 /// No cell — faulted or not — may degrade past this and still pass.
 const FAULTED_MAX_ERR_PCT: f64 = 15.0;
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}

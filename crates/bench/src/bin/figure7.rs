@@ -15,82 +15,62 @@
 //! binary. Each parallel cell buffers its events; buffers are written in
 //! job order so the trace is deterministic regardless of scheduling.
 
-use peak_bench::{figure7_cell_pooled, figure7_method_list, normalize_tuning_times, Figure7Cell};
+use peak_bench::{
+    figure7_cell_pooled, figure7_method_list, machine_kinds, normalize_tuning_times, run_cells,
+    select_benchmarks, Figure7Cell, Flags,
+};
 use peak_core::consultant::Method;
 use peak_core::VersionCache;
-use peak_obs::{BufferSink, JsonlSink, TraceSink, Tracer};
+use peak_obs::{JsonlSink, TraceSink, Tracer};
 use peak_sim::{MachineKind, MachineSpec};
 use peak_workloads::Dataset;
 use std::io::Write;
-use std::sync::Arc;
 
 const BENCHMARKS: [&str; 4] = ["SWIM", "MGRID", "ART", "EQUAKE"];
+/// Bar order within a benchmark; WHL, the normalizer, ends the list.
+const METHODS: [Method; 5] = [Method::Cbr, Method::Mbr, Method::Rbr, Method::Avg, Method::Whl];
+
+const USAGE: &str = "figure7 [--machine sparc|p4|both] [--bench swim|mgrid|art|equake] [--quick] \
+                     [--json PATH] [--trace PATH]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let machine = arg_value(&args, "--machine").unwrap_or_else(|| "both".into());
-    let json_path = arg_value(&args, "--json");
-    let only_bench = arg_value(&args, "--bench");
-    let quick = args.iter().any(|a| a == "--quick");
-    let kinds: Vec<MachineKind> = match machine.as_str() {
-        "sparc" => vec![MachineKind::SparcII],
-        "p4" | "pentium" | "pentium4" => vec![MachineKind::PentiumIV],
-        "both" => vec![MachineKind::SparcII, MachineKind::PentiumIV],
-        other => {
-            eprintln!("error: unknown machine `{other}` (expected sparc, p4, or both)");
-            std::process::exit(1);
-        }
+    let flags =
+        Flags::from_env(USAGE, &["--machine", "--bench", "--json", "--trace"], &["--quick"], 0);
+    let kinds = flags.or_exit(machine_kinds(flags.value("--machine").unwrap_or("both")));
+    let benchmarks =
+        flags.or_exit(select_benchmarks(BENCHMARKS.to_vec(), |n| n, flags.value("--bench")));
+    let datasets: Vec<Dataset> = if flags.has("--quick") {
+        vec![Dataset::Train]
+    } else {
+        vec![Dataset::Train, Dataset::Ref]
     };
-    if let Some(b) = &only_bench {
-        if !BENCHMARKS.iter().any(|n| n.eq_ignore_ascii_case(b)) {
-            eprintln!(
-                "error: unknown benchmark `{b}` (Figure 7 covers {})",
-                BENCHMARKS.join(", ")
-            );
-            std::process::exit(1);
-        }
-    }
-    let datasets: Vec<Dataset> =
-        if quick { vec![Dataset::Train] } else { vec![Dataset::Train, Dataset::Ref] };
     // Build the cell list.
-    let mut jobs: Vec<(String, MachineKind, Method, Dataset)> = Vec::new();
+    let mut jobs: Vec<(&str, MachineKind, Method, Dataset)> = Vec::new();
     for &kind in &kinds {
         let spec = MachineSpec::of(kind);
-        for name in BENCHMARKS {
-            if only_bench.as_deref().is_some_and(|b| !b.eq_ignore_ascii_case(name)) {
-                continue;
-            }
+        for &name in &benchmarks {
             let w = peak_workloads::workload_by_name(name).expect("benchmark");
             for m in figure7_method_list(w.as_ref(), &spec) {
                 for &ds in &datasets {
-                    jobs.push((name.to_string(), kind, m, ds));
+                    jobs.push((name, kind, m, ds));
                 }
             }
         }
     }
-    let trace_path = arg_value(&args, "--trace");
-    let tracing = trace_path.is_some();
+    let trace_path = flags.value("--trace");
     let pool = peak_core::Pool::from_env();
     eprintln!("figure7: {} cells (pool: {} threads)", jobs.len(), pool.threads());
     // Parallel evaluation on the shared work-stealing pool; cells are
-    // fully independent jobs and `Pool::run` returns results in job
-    // order. With `--trace`, each cell buffers its events locally;
-    // buffers are spliced into the trace file in job order after the
-    // pool drains. Each cell also re-uses the pool (via its shared
+    // fully independent jobs whose results and trace buffers come back
+    // in job order. Each cell also re-uses the pool (via its shared
     // helper budget) to pre-compile IE candidate frontiers.
     let cell_jobs: Vec<_> = jobs
         .iter()
-        .map(|(name, kind, method, ds)| {
+        .map(|&(name, kind, method, ds)| {
             let pool = pool.clone();
-            move || {
+            move |tracer: Tracer| {
                 let t0 = std::time::Instant::now();
-                let (tracer, sink) = if tracing {
-                    let sink = Arc::new(BufferSink::new());
-                    (Tracer::to_sink(sink.clone()), Some(sink))
-                } else {
-                    (Tracer::disabled(), None)
-                };
-                let cell = figure7_cell_pooled(name, *kind, *method, *ds, tracer, &pool);
+                let cell = figure7_cell_pooled(name, kind, method, ds, tracer, &pool);
                 eprintln!(
                     "  {name:<7} {:<10} {:<4} {:<5}  {:+6.1}%  ({} ratings, {:.1}s)",
                     kind.name(),
@@ -100,22 +80,16 @@ fn main() {
                     cell.report.search.ratings,
                     t0.elapsed().as_secs_f64(),
                 );
-                (cell, sink.map(|s| s.drain()).unwrap_or_default())
+                cell
             }
         })
         .collect();
-    let results: Vec<(Figure7Cell, Vec<String>)> = pool.run(cell_jobs);
-    let mut cells = Vec::with_capacity(results.len());
-    if let Some(path) = &trace_path {
-        let sink = JsonlSink::create(std::path::Path::new(path)).expect("create trace file");
-        for (_, lines) in &results {
-            sink.append_lines(lines.iter());
-        }
+    let sink = trace_path
+        .map(|path| JsonlSink::create(std::path::Path::new(path)).expect("create trace file"));
+    let mut cells = run_cells(&pool, sink.as_ref(), cell_jobs);
+    if let (Some(sink), Some(path)) = (&sink, trace_path) {
         sink.flush();
         eprintln!("trace: wrote {path}");
-    }
-    for (cell, _) in results {
-        cells.push(cell);
     }
     // Compile-cache effectiveness across the whole run (stderr only:
     // stdout stays byte-stable across cache-layer changes).
@@ -128,9 +102,11 @@ fn main() {
         println!(
             "Figure 7 ({}) — performance improvement over -O3 on {} (measured on ref)",
             if kind == MachineKind::SparcII { "a" } else { "b" },
-            MachineSpec::of(kind).kind.name()
+            kind.name()
         );
-        print_improvements(&cells, kind, &datasets);
+        print_bars(&cells, kind, &datasets, &METHODS, |c| {
+            Some(format!("{:+7.1}%", c.report.improvement_pct))
+        });
     }
     // --- Figure 7 (c)/(d): tuning time normalized to WHL ---
     for &kind in &kinds {
@@ -138,27 +114,37 @@ fn main() {
         println!(
             "Figure 7 ({}) — tuning time normalized to WHL on {}",
             if kind == MachineKind::SparcII { "c" } else { "d" },
-            MachineSpec::of(kind).kind.name()
+            kind.name()
         );
-        print_tuning_times(&cells, kind, &datasets);
+        print_bars(&cells, kind, &datasets, &METHODS[..4], |c| {
+            c.tuning_time_vs_whl.map(|t| format!("{t:7.3}"))
+        });
     }
     // --- Headline aggregates ---
     println!();
     summarize(&cells);
-    if let Some(path) = json_path {
+    if let Some(path) = flags.value("--json") {
         let json = peak_util::to_string_pretty(&cells);
-        std::fs::File::create(&path)
+        std::fs::File::create(path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
             .expect("write json");
         println!("wrote {path}");
     }
 }
 
-fn print_improvements(cells: &[Figure7Cell], kind: MachineKind, datasets: &[Dataset]) {
-    let mname = MachineSpec::of(kind).kind.name();
-    println!("{:<18} {}", "bar", datasets_header(datasets));
+/// One bar chart as text: a row per benchmark × method in `methods` with
+/// a `text` cell on some dataset, one column per dataset.
+fn print_bars(
+    cells: &[Figure7Cell],
+    kind: MachineKind,
+    datasets: &[Dataset],
+    methods: &[Method],
+    text: impl Fn(&Figure7Cell) -> Option<String>,
+) {
+    let header: Vec<String> = datasets.iter().map(|d| format!("{:>8}", d.name())).collect();
+    println!("{:<18} {}", "bar", header.join("  "));
     for name in BENCHMARKS {
-        for method in [Method::Cbr, Method::Mbr, Method::Rbr, Method::Avg, Method::Whl] {
+        for &method in methods {
             let vals: Vec<String> = datasets
                 .iter()
                 .map(|ds| {
@@ -166,43 +152,11 @@ fn print_improvements(cells: &[Figure7Cell], kind: MachineKind, datasets: &[Data
                         .iter()
                         .find(|c| {
                             c.report.benchmark == name
-                                && c.report.machine == mname
+                                && c.report.machine == kind.name()
                                 && c.report.method == method
-                                && c.report.tuned_on == ds_name(*ds)
+                                && c.report.tuned_on == ds.name()
                         })
-                        .map(|c| format!("{:+7.1}%", c.report.improvement_pct))
-                        .unwrap_or_else(|| "      —".into())
-                })
-                .collect();
-            if vals.iter().any(|v| !v.contains('—')) {
-                println!(
-                    "  {:<16} {}",
-                    format!("{}_{}", name.to_lowercase(), method.name()),
-                    vals.join("  ")
-                );
-            }
-        }
-    }
-}
-
-fn print_tuning_times(cells: &[Figure7Cell], kind: MachineKind, datasets: &[Dataset]) {
-    let mname = MachineSpec::of(kind).kind.name();
-    println!("{:<18} {}", "bar", datasets_header(datasets));
-    for name in BENCHMARKS {
-        for method in [Method::Cbr, Method::Mbr, Method::Rbr, Method::Avg] {
-            let vals: Vec<String> = datasets
-                .iter()
-                .map(|ds| {
-                    cells
-                        .iter()
-                        .find(|c| {
-                            c.report.benchmark == name
-                                && c.report.machine == mname
-                                && c.report.method == method
-                                && c.report.tuned_on == ds_name(*ds)
-                        })
-                        .and_then(|c| c.tuning_time_vs_whl)
-                        .map(|t| format!("{t:7.3}"))
+                        .and_then(&text)
                         .unwrap_or_else(|| "      —".into())
                 })
                 .collect();
@@ -258,19 +212,4 @@ fn is_suggested(c: &Figure7Cell) -> bool {
         (c.report.benchmark.as_str(), c.report.method),
         ("SWIM", Method::Cbr) | ("MGRID", Method::Mbr) | ("EQUAKE", Method::Cbr) | ("ART", Method::Rbr)
     )
-}
-
-fn ds_name(ds: Dataset) -> &'static str {
-    match ds {
-        Dataset::Train => "train",
-        Dataset::Ref => "ref",
-    }
-}
-
-fn datasets_header(datasets: &[Dataset]) -> String {
-    datasets.iter().map(|d| format!("{:>8}", ds_name(*d))).collect::<Vec<_>>().join("  ")
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }

@@ -1,24 +1,18 @@
 //! Diagnostic: true production-time effect of removing each -O3 flag.
 //! `cargo run --release -p peak-bench --bin flag_effects -- [BENCH] [sparc|p4]`
+use peak_bench::{machine_kind, select_benchmarks, Flags};
 use peak_opt::{OptConfig, ALL_FLAGS};
 use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "SWIM".into());
-    let mach = std::env::args().nth(2).unwrap_or_else(|| "p4".into());
-    let spec = if mach == "sparc" { MachineSpec::sparc_ii() } else { MachineSpec::pentium_iv() };
-    let Some(w) = peak_workloads::workload_by_name(&name) else {
-        eprintln!(
-            "error: unknown benchmark `{name}` (try one of: {})",
-            peak_workloads::all_workloads()
-                .iter()
-                .map(|w| w.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        std::process::exit(1);
-    };
+    let flags = Flags::from_env("flag_effects [BENCH] [sparc|p4]", &[], &[], 2);
+    let name = flags.positional().first().map_or("SWIM", String::as_str);
+    let mach = flags.positional().get(1).map_or("p4", String::as_str);
+    let spec = MachineSpec::of(flags.or_exit(machine_kind(mach)));
+    let w = flags
+        .or_exit(select_benchmarks(peak_workloads::all_workloads(), |w| w.name(), Some(name)))
+        .remove(0);
     let base = peak_core::production_time(w.as_ref(), &spec, OptConfig::o3(), Dataset::Train);
     println!("{} on {}: -O3 = {} cycles", w.name(), spec.kind.name(), base);
     let mut effects: Vec<(f64, &str)> = ALL_FLAGS

@@ -1,94 +1,194 @@
-//! Hot-path microbenchmark: how fast is one simulated TS invocation, and
-//! how fast is one compile+prepare? Seeds the perf trajectory — every
-//! executor or cache change reruns this and compares.
+//! Hot-path microbenchmarks and their gates. Each run does one mode and
+//! writes that mode's artifact, `--json PATH` or the file named below:
 //!
 //! ```text
-//! cargo run --release -p peak-bench --bin hotpath \
-//!     [-- --machine sparc|p4] [--bench NAME] [--json PATH] [--min-ms N] [--search]
+//! cargo run --release -p peak-bench --bin hotpath -- \
+//!     [--search | --obs | --jit | --costmodel | --strategies] \
+//!     [--machine sparc|p4|both] [--bench NAME] [--min-ms N] \
+//!     [--tier interp|predecoded|jit] [--json PATH]
 //! ```
 //!
-//! Emits `BENCH_hotpath.json` (stable schema, one record per
-//! workload×machine): `workload`, `machine`, `invocations_per_sec`,
-//! `compiles_per_sec`, `cache_hit_rate`, plus the raw counts/durations
-//! behind the rates. Rates are wall-clock and machine-dependent; the
-//! *schema* and the cache-hit-rate are what CI pins down.
+//! | mode | artifact | flags it reads besides `--json` | passes when |
+//! |---|---|---|---|
+//! | (none) rates sweep | `BENCH_hotpath.json` | machine, bench, min-ms, tier | every cache hit rate is 0.5 |
+//! | `--search` | `BENCH_search.json` | — | outputs match at every thread count; Table 1 ≥1.2× at ≥2 threads |
+//! | `--obs` | `BENCH_obs.json` | min-ms, tier | metrics cost ≤2% |
+//! | `--jit` | `BENCH_jit.json` | machine, bench, min-ms | jit slower than predecoded on ≤25% of pairs |
+//! | `--costmodel` | `BENCH_costmodel.json` | machine, bench, min-ms | median jit speedup ≤25% below the artifact's baseline |
+//! | `--strategies` | `BENCH_strategies.json` | machine, bench | per pair ≥97% of random, geomean ≥99.5%, thread-identical |
 //!
-//! `--search` additionally runs the scheduler scaling benchmark and
-//! emits `BENCH_search.json`: the full Table-1 sweep and a capped
-//! parallel Iterative-Elimination search, each at 1, 2, and the default
-//! thread count, reporting wall seconds per leg, the default-vs-1
-//! speedup, and whether the outputs were byte-identical across thread
-//! counts (they must be — the pool is deterministic by construction).
-//!
-//! `--obs` runs the metrics-overhead gate and emits `BENCH_obs.json`:
-//! 41 interleaved pairs of short metrics-on/metrics-off slices of the
-//! same fixed invocation workload, and the median over pairs of the
-//! on/off time ratio as the overhead percentage. Exits non-zero when the
-//! overhead exceeds the gate (default 2%) — instrumentation that taxes
-//! the hot path gets caught in CI, not in production.
-//!
-//! `--tier {interp,predecoded,jit}` picks the engine the invocation
-//! and `--obs` benchmarks build (default jit),
-//! and `--jit` runs the tier A/B comparison: one engine per tier built
-//! from the same prepared version, interleaved fixed-work slices of all
-//! three per workload×machine pair, medians, and the jit-vs-predecoded
-//! speedup, written to `BENCH_jit.json`. Exits non-zero when the jit
-//! tier is *slower* than predecoded on more than 25% of pairs (the CI
-//! bench-smoke gate; tune with `--jit-gate-pct`).
-//!
-//! `--strategies` runs the search-strategy shoot-out and emits
-//! `BENCH_strategies.json`: per workload×machine pair, serial-reference
-//! IE runs first (unlimited) and its unique-configuration spend becomes
-//! the pair's `CompilationBudget`; GA, phase-clustered IE, and biased
-//! random search then run capped at that budget. Winner quality is the
-//! train-input production speedup over -O3 (the ref-input speedup and a
-//! shared winner re-rating are reported alongside). Every strategy is
-//! replayed at 1, 2, and the default thread count and must be
-//! bit-identical across them. The quality gate is two-level: per pair,
-//! GA and clustered IE must each stay within a catastrophe band of
-//! random's quality (default 3%, `--strategies-tolerance-pct` — at
-//! one-frontier budgets scatter sampling legitimately wins single pairs
-//! by a couple percent, but a structured strategy losing *big* anywhere
-//! is a bug); across the grid, each must be geomean non-inferior to
-//! random within a noise band (default 0.5%,
-//! `--strategies-agg-tolerance-pct`). Exits non-zero on any gate or
-//! thread-identity failure.
+//! Every artifact is one object: the mode's summary fields, `pass`, and
+//! `records`, one per workload×machine pair (per thread count for
+//! `--search`), keyed by `workload` and `machine`. The run exits 1 when
+//! `pass` is false, and 2 with its usage line, before any timing, on two
+//! modes, an unknown flag, or a flag its mode does not read. Machines
+//! default to both, benchmarks to all, `--min-ms` (the time a timed
+//! workload×machine pair should take) to 300 and `--tier` to jit. Rates
+//! are wall-clock and machine-dependent; the gates divide host speed out
+//! where they can.
 
-use peak_core::{build_engine, RunHarness, VersionCache};
+use peak_bench::{machine_kinds, select_benchmarks, Flags};
+use peak_core::consultant::Method;
+use peak_core::{build_engine, Pool, RunHarness, SearchResult, TuningSetup, VersionCache};
 use peak_obs::Tracer;
 use peak_opt::{Flag, OptConfig, ALL_FLAGS};
 use peak_sim::{ExecOptions, ExecTier, MachineKind, MachineSpec, PreparedVersion, TierBackend};
 use peak_util::Json;
 use peak_workloads::{Dataset, Workload};
-use std::io::Write;
 use std::time::Instant;
+
+const USAGE: &str = "hotpath [--search | --obs | --jit | --costmodel | --strategies] \
+                     [--machine sparc|p4|both] [--bench NAME] [--min-ms N] \
+                     [--tier interp|predecoded|jit] [--json PATH]";
+
+/// The rates sweep's cache hit rate: the replayed request stream's
+/// second round hits every config its first round compiled.
+const CACHE_HIT_RATE: f64 = 0.5;
+/// `--obs`: the most the metrics may slow the hot path, in percent.
+const OBS_GATE_PCT: f64 = 2.0;
+/// `--jit`: the largest share of pairs, in percent, on which jit may run
+/// slower than predecoded.
+const JIT_GATE_PCT: f64 = 25.0;
+/// `--costmodel`: the largest drop, in percent, of the median speedup
+/// below its committed baseline.
+const COSTMODEL_TOLERANCE_PCT: f64 = 25.0;
+/// `--strategies`: per pair, how far GA or clustered IE may fall below
+/// random's quality, in percent.
+const STRATEGIES_TOLERANCE_PCT: f64 = 3.0;
+/// `--strategies`: how far the geomean quality of either may fall below
+/// random's across the grid, in percent.
+const STRATEGIES_AGG_TOLERANCE_PCT: f64 = 0.5;
 
 /// Distinct configs used for the compile and cache measurements: -O3 plus
 /// one-flag-off neighbours — the request stream of an Iterative
 /// Elimination first round.
 const NEIGHBOUR_FLAGS: usize = 7;
 
-struct Record {
-    workload: &'static str,
-    machine: &'static str,
-    invocations: u64,
-    invoke_secs: f64,
-    compiles: u64,
-    compile_secs: f64,
-    cache_hits: u64,
-    cache_lookups: u64,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    Rates,
+    Search,
+    Obs,
+    Jit,
+    Costmodel,
+    Strategies,
 }
 
-impl Record {
-    fn invocations_per_sec(&self) -> f64 {
-        self.invocations as f64 / self.invoke_secs.max(1e-9)
+/// Each mode's switch; a run given none sweeps the rates.
+const MODES: [(&str, Mode); 5] = [
+    ("--search", Mode::Search),
+    ("--obs", Mode::Obs),
+    ("--jit", Mode::Jit),
+    ("--costmodel", Mode::Costmodel),
+    ("--strategies", Mode::Strategies),
+];
+
+const VALUE_FLAGS: [&str; 5] = ["--machine", "--bench", "--min-ms", "--tier", "--json"];
+
+impl Mode {
+    /// The value flags the mode reads.
+    fn reads(self) -> &'static [&'static str] {
+        match self {
+            Mode::Rates => &VALUE_FLAGS,
+            Mode::Search => &["--json"],
+            Mode::Obs => &["--min-ms", "--tier", "--json"],
+            Mode::Jit | Mode::Costmodel => &["--machine", "--bench", "--min-ms", "--json"],
+            Mode::Strategies => &["--machine", "--bench", "--json"],
+        }
     }
-    fn compiles_per_sec(&self) -> f64 {
-        self.compiles as f64 / self.compile_secs.max(1e-9)
+
+    /// The artifact the mode writes unless `--json` names another.
+    fn artifact(self) -> &'static str {
+        match self {
+            Mode::Rates => "BENCH_hotpath.json",
+            Mode::Search => "BENCH_search.json",
+            Mode::Obs => "BENCH_obs.json",
+            Mode::Jit => "BENCH_jit.json",
+            Mode::Costmodel => "BENCH_costmodel.json",
+            Mode::Strategies => "BENCH_strategies.json",
+        }
     }
-    fn cache_hit_rate(&self) -> f64 {
-        self.cache_hits as f64 / (self.cache_lookups.max(1)) as f64
+}
+
+/// The one mode `flags` asks for, provided it reads every flag given.
+fn mode(flags: &Flags) -> Result<Mode, String> {
+    let asked: Vec<&(&str, Mode)> = MODES.iter().filter(|(s, _)| flags.has(s)).collect();
+    let (switch, mode) = match asked[..] {
+        [] => ("the rates sweep", Mode::Rates),
+        [&(switch, mode)] => (switch, mode),
+        _ => {
+            let asked: Vec<&str> = asked.iter().map(|(s, _)| *s).collect();
+            return Err(format!("one mode per run, not {}", asked.join(" and ")));
+        }
+    };
+    match flags.names().find(|f| VALUE_FLAGS.contains(f) && !mode.reads().contains(f)) {
+        Some(f) => Err(format!("{switch} reads no {f}")),
+        None => Ok(mode),
     }
+}
+
+fn main() {
+    let switches = MODES.map(|(s, _)| s);
+    let flags = Flags::from_env(USAGE, &VALUE_FLAGS, &switches, 0);
+    let mode = flags.or_exit(mode(&flags));
+    let json = flags.value("--json").unwrap_or(mode.artifact());
+    let min_ms: u64 = flags.parsed("--min-ms", 300);
+    let tier = flags.or_exit(flags.value("--tier").map_or(Ok(ExecTier::default()), |t| {
+        ExecTier::parse(t).ok_or(format!("unknown tier `{t}` (expected interp, predecoded or jit)"))
+    }));
+    let kinds = flags.or_exit(machine_kinds(flags.value("--machine").unwrap_or("both")));
+    let workloads = flags.or_exit(select_benchmarks(
+        peak_workloads::all_workloads(),
+        |w| w.name(),
+        flags.value("--bench"),
+    ));
+    let pass = match mode {
+        Mode::Rates => rates_bench(json, &workloads, &kinds, min_ms, tier),
+        Mode::Search => search_bench(json, &workloads),
+        Mode::Obs => obs_bench(json, min_ms, tier),
+        Mode::Jit => jit_bench(json, &workloads, &kinds, min_ms),
+        Mode::Costmodel => costmodel_bench(json, &workloads, &kinds, min_ms),
+        Mode::Strategies => strategies_bench(json, &workloads, &kinds),
+    };
+    if !pass {
+        eprintln!("error: the gate failed; see `pass` in {json}");
+        std::process::exit(1);
+    }
+}
+
+/// Write one mode's artifact to `path`: its `summary` fields, then
+/// `pass`, then `records`. Returns `pass`.
+fn write_artifact(
+    path: &str,
+    mut summary: Vec<(&str, Json)>,
+    pass: bool,
+    records: Vec<Json>,
+) -> bool {
+    summary.push(("pass", Json::Bool(pass)));
+    summary.push(("records", Json::Arr(records)));
+    std::fs::write(path, Json::obj(summary).pretty() + "\n")
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+    pass
+}
+
+/// One artifact record: its `workload` and `machine` key, then `fields`.
+fn record<const N: usize>(w: &dyn Workload, kind: MachineKind, fields: [(&str, Json); N]) -> Json {
+    let mut pairs = vec![
+        ("workload", Json::Str(w.name().to_owned())),
+        ("machine", Json::Str(kind.name().to_owned())),
+    ];
+    pairs.extend(fields);
+    Json::obj(pairs)
+}
+
+/// 1, 2 and the default thread count, ascending and without repeats: the
+/// thread counts `--search` times and `--strategies` replays.
+fn thread_legs() -> Vec<usize> {
+    let mut legs = vec![1, 2, peak_core::default_threads()];
+    legs.sort_unstable();
+    legs.dedup();
+    legs
 }
 
 fn neighbour_configs() -> Vec<OptConfig> {
@@ -104,44 +204,6 @@ fn neighbour_configs() -> Vec<OptConfig> {
 /// The prepared -O3 version of `w` on `spec`.
 fn prepare_o3(w: &dyn Workload, spec: &MachineSpec) -> PreparedVersion {
     PreparedVersion::prepare(peak_opt::optimize(w.program(), w.ts(), &OptConfig::o3()), spec)
-}
-
-/// Time `min_ms` worth of TS invocations of the -O3 version on `tier`'s
-/// engine (fresh harness per exhausted invocation budget —
-/// cache/predictor state warms exactly like a tuning run's).
-fn time_invocations(
-    w: &dyn Workload,
-    spec: &MachineSpec,
-    min_ms: u64,
-    tier: ExecTier,
-) -> (u64, f64) {
-    let engine = build_engine(prepare_o3(w, spec), tier, &Tracer::disabled());
-    let opts = ExecOptions::default();
-    // Warm-up run so one-time costs (lazy allocs, page faults) don't
-    // pollute the first timed slice.
-    {
-        let mut h = RunHarness::new(w, Dataset::Train, spec, 1);
-        for _ in 0..8 {
-            let Some(args) = h.next_args() else { break };
-            let _ = h.execute(&*engine, &args, &opts);
-        }
-    }
-    let budget = std::time::Duration::from_millis(min_ms);
-    let start = Instant::now();
-    let mut n = 0u64;
-    let mut seed = 2u64;
-    'outer: loop {
-        let mut h = RunHarness::new(w, Dataset::Train, spec, seed);
-        seed += 1;
-        while let Some(args) = h.next_args() {
-            let _ = h.execute(&*engine, &args, &opts);
-            n += 1;
-            if n.is_multiple_of(64) && start.elapsed() >= budget {
-                break 'outer;
-            }
-        }
-    }
-    (n, start.elapsed().as_secs_f64())
 }
 
 /// Time uncached compile+prepare over the neighbour configs, repeating
@@ -165,9 +227,9 @@ fn time_compiles(w: &dyn Workload, spec: &MachineSpec, min_ms: u64) -> (u64, f64
 }
 
 /// Replay an Iterative-Elimination-shaped request stream (two rounds over
-/// the neighbour configs) against a fresh cache and report its hit/miss
-/// counters. Deterministic: round one misses, round two hits.
-fn cache_profile(w: &dyn Workload, spec: &MachineSpec) -> (u64, u64) {
+/// the neighbour configs) against a fresh cache and return its hit rate.
+/// Deterministic: round one misses, round two hits.
+fn cache_hit_rate(w: &dyn Workload, spec: &MachineSpec) -> f64 {
     let cache = VersionCache::new();
     for _round in 0..2 {
         for cfg in neighbour_configs() {
@@ -175,170 +237,90 @@ fn cache_profile(w: &dyn Workload, spec: &MachineSpec) -> (u64, u64) {
         }
     }
     let s = cache.stats();
-    (s.hits, s.hits + s.misses)
+    s.hits as f64 / (s.hits + s.misses).max(1) as f64
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let machine = arg_value(&args, "--machine");
-    let only = arg_value(&args, "--bench");
-    let json_path = arg_value(&args, "--json").unwrap_or_else(|| "BENCH_hotpath.json".into());
-    let min_ms: u64 = arg_value(&args, "--min-ms").map_or(300, |v| v.parse().expect("--min-ms"));
-    let tier = arg_value(&args, "--tier").map_or_else(ExecTier::default, |t| {
-        ExecTier::parse(&t).unwrap_or_else(|| {
-            eprintln!("error: unknown tier `{t}` (expected interp, predecoded, or jit)");
-            std::process::exit(1);
-        })
-    });
-    let kinds: Vec<MachineKind> = match machine.as_deref() {
-        None => vec![MachineKind::SparcII, MachineKind::PentiumIV],
-        Some("sparc") => vec![MachineKind::SparcII],
-        Some("p4" | "pentium" | "pentium4") => vec![MachineKind::PentiumIV],
-        Some(other) => {
-            eprintln!("error: unknown machine `{other}` (expected sparc or p4)");
-            std::process::exit(1);
-        }
-    };
-    if let Some(b) = &only {
-        if peak_workloads::workload_by_name(b).is_none() {
-            eprintln!("error: unknown benchmark `{b}`");
-            std::process::exit(1);
-        }
-    }
-    let workloads: Vec<_> = peak_workloads::all_workloads()
-        .into_iter()
-        .filter(|w| only.as_deref().is_none_or(|o| w.name().eq_ignore_ascii_case(o)))
-        .collect();
-    println!(
-        "hotpath — invocations/sec ({tier} tier) and compiles/sec per workload×machine"
-    );
+/// The rates sweep, the perf trajectory's base record. Per
+/// workload×machine pair: invocations/sec of the -O3 version on `tier`'s
+/// engine over a fixed invocation count sized to run about `min_ms`,
+/// compiles/sec of uncached compile+prepare over -O3 and its neighbours,
+/// and the version cache's hit rate on the replayed request stream,
+/// which must be exactly [`CACHE_HIT_RATE`].
+fn rates_bench(
+    json_path: &str,
+    workloads: &[Box<dyn Workload>],
+    kinds: &[MachineKind],
+    min_ms: u64,
+    tier: ExecTier,
+) -> bool {
+    println!("hotpath — invocations/sec ({tier} tier) and compiles/sec per workload×machine");
     println!(
         "{:<10} {:>9} | {:>16} {:>14} {:>14}",
         "workload", "machine", "invocations/s", "compiles/s", "cache hit rate"
     );
     let mut records = Vec::new();
-    for w in &workloads {
-        for &kind in &kinds {
+    let mut pass = true;
+    for w in workloads {
+        for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let (invocations, invoke_secs) = time_invocations(w.as_ref(), &spec, min_ms, tier);
+            let engine = build_engine(prepare_o3(w.as_ref(), &spec), tier, &Tracer::disabled());
+            let invocations = slice_size(w.as_ref(), &spec, &*engine, min_ms, 1).max(1);
+            let invoke_secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, invocations);
             let (compiles, compile_secs) = time_compiles(w.as_ref(), &spec, min_ms.min(150));
-            let (cache_hits, cache_lookups) = cache_profile(w.as_ref(), &spec);
-            let r = Record {
-                workload: w.name(),
-                machine: kind.name(),
-                invocations,
-                invoke_secs,
-                compiles,
-                compile_secs,
-                cache_hits,
-                cache_lookups,
-            };
+            let hit_rate = cache_hit_rate(w.as_ref(), &spec);
+            pass &= hit_rate == CACHE_HIT_RATE;
+            let invocations_per_sec = invocations as f64 / invoke_secs.max(1e-9);
+            let compiles_per_sec = compiles as f64 / compile_secs.max(1e-9);
             println!(
-                "{:<10} {:>9} | {:>16.0} {:>14.0} {:>14.2}",
-                r.workload,
-                r.machine,
-                r.invocations_per_sec(),
-                r.compiles_per_sec(),
-                r.cache_hit_rate()
+                "{:<10} {:>9} | {invocations_per_sec:>16.0} {compiles_per_sec:>14.0} {hit_rate:>14.2}",
+                w.name(),
+                kind.name(),
             );
-            records.push(r);
+            records.push(record(
+                w.as_ref(),
+                kind,
+                [
+                    ("invocations_per_sec", Json::F(invocations_per_sec)),
+                    ("compiles_per_sec", Json::F(compiles_per_sec)),
+                    ("cache_hit_rate", Json::F(hit_rate)),
+                    ("invocations", Json::U(invocations)),
+                    ("invoke_secs", Json::F(invoke_secs)),
+                    ("compiles", Json::U(compiles)),
+                    ("compile_secs", Json::F(compile_secs)),
+                ],
+            ));
         }
     }
-    let json = Json::Arr(
-        records
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("workload", Json::Str(r.workload.to_owned())),
-                    ("machine", Json::Str(r.machine.to_owned())),
-                    ("tier", Json::Str(tier.name().to_owned())),
-                    ("invocations_per_sec", Json::F(r.invocations_per_sec())),
-                    ("compiles_per_sec", Json::F(r.compiles_per_sec())),
-                    ("cache_hit_rate", Json::F(r.cache_hit_rate())),
-                    ("invocations", Json::U(r.invocations)),
-                    ("invoke_secs", Json::F(r.invoke_secs)),
-                    ("compiles", Json::U(r.compiles)),
-                    ("compile_secs", Json::F(r.compile_secs)),
-                ])
-            })
-            .collect(),
-    );
-    std::fs::File::create(&json_path)
-        .and_then(|mut f| f.write_all((json.pretty() + "\n").as_bytes()))
-        .expect("write json");
     println!();
-    println!("wrote {json_path}");
-    if args.iter().any(|a| a == "--search") {
-        let search_json =
-            arg_value(&args, "--search-json").unwrap_or_else(|| "BENCH_search.json".into());
-        search_bench(&search_json);
-    }
-    if args.iter().any(|a| a == "--obs") {
-        let obs_json = arg_value(&args, "--obs-json").unwrap_or_else(|| "BENCH_obs.json".into());
-        let gate_pct: f64 = arg_value(&args, "--obs-gate-pct")
-            .map_or(2.0, |v| v.parse().expect("--obs-gate-pct"));
-        if !obs_bench(&obs_json, gate_pct, min_ms, tier) {
-            std::process::exit(1);
-        }
-    }
-    if args.iter().any(|a| a == "--jit") {
-        let jit_json = arg_value(&args, "--jit-json").unwrap_or_else(|| "BENCH_jit.json".into());
-        let gate_pct: f64 = arg_value(&args, "--jit-gate-pct")
-            .map_or(25.0, |v| v.parse().expect("--jit-gate-pct"));
-        if !jit_bench(&jit_json, gate_pct, min_ms, &workloads, &kinds) {
-            std::process::exit(1);
-        }
-    }
-    if args.iter().any(|a| a == "--strategies") {
-        let s_json = arg_value(&args, "--strategies-json")
-            .unwrap_or_else(|| "BENCH_strategies.json".into());
-        let tol_pct: f64 = arg_value(&args, "--strategies-tolerance-pct")
-            .map_or(3.0, |v| v.parse().expect("--strategies-tolerance-pct"));
-        let agg_tol_pct: f64 = arg_value(&args, "--strategies-agg-tolerance-pct")
-            .map_or(0.5, |v| v.parse().expect("--strategies-agg-tolerance-pct"));
-        if !strategies_bench(&s_json, tol_pct, agg_tol_pct, &workloads, &kinds) {
-            std::process::exit(1);
-        }
-    }
-    if args.iter().any(|a| a == "--costmodel") {
-        let cm_json =
-            arg_value(&args, "--costmodel-json").unwrap_or_else(|| "BENCH_costmodel.json".into());
-        let tol_pct: f64 = arg_value(&args, "--costmodel-tolerance-pct")
-            .map_or(25.0, |v| v.parse().expect("--costmodel-tolerance-pct"));
-        let bench_tier = if tier == ExecTier::Predecoded { ExecTier::Jit } else { tier };
-        if !costmodel_bench(&cm_json, tol_pct, min_ms, &workloads, &kinds, bench_tier) {
-            std::process::exit(1);
-        }
-    }
+    let summary = vec![
+        ("tier", Json::Str(tier.name().to_owned())),
+        ("pairs", Json::U(records.len() as u64)),
+        ("expected_cache_hit_rate", Json::F(CACHE_HIT_RATE)),
+    ];
+    write_artifact(json_path, summary, pass, records)
 }
 
 /// The cost-model no-regression gate behind `--costmodel`. Per
 /// workload×machine pair: interleaved fixed-work slices of the
-/// predecoded tier and the target tier (`--tier`, default jit), medians,
-/// and the tier-vs-predecoded speedup *ratio*. The gate compares the
-/// median ratio against the committed `BENCH_costmodel.json` baseline
-/// (read before overwriting): ratios divide out host speed, so the
-/// baseline is portable across CI machines where absolute wall-clock is
-/// not. A run regresses when its median ratio falls more than
-/// `tolerance_pct` percent below the baseline's. First run (no
-/// baseline) records and passes.
+/// predecoded and jit engines, medians, and the jit-vs-predecoded
+/// speedup *ratio*. The gate compares the median ratio against the
+/// baseline in `json_path` (read before overwriting; the committed
+/// `BENCH_costmodel.json` by default): ratios divide out host speed, so
+/// the baseline is portable across CI machines where absolute wall-clock
+/// is not. A run regresses when its median ratio falls more than
+/// [`COSTMODEL_TOLERANCE_PCT`] percent below the baseline's. First run
+/// (no baseline) records and passes.
 fn costmodel_bench(
     json_path: &str,
-    tolerance_pct: f64,
-    min_ms: u64,
     workloads: &[Box<dyn Workload>],
     kinds: &[MachineKind],
-    tier: ExecTier,
+    min_ms: u64,
 ) -> bool {
     let baseline_ratio: Option<f64> = std::fs::read_to_string(json_path)
         .ok()
         .and_then(|t| peak_util::from_str(&t).ok())
         .and_then(|j| j.get("median_speedup_vs_predecoded").and_then(Json::as_f64));
-    println!();
-    println!(
-        "cost-model gate — {} tier vs predecoded, {AB_ROUNDS} interleaved rounds per pair",
-        tier.name()
-    );
+    println!("cost-model gate — jit tier vs predecoded, {AB_ROUNDS} interleaved rounds per pair");
     println!(
         "{:<10} {:>9} | {:>13} {:>13} {:>9}",
         "workload", "machine", "predecoded/s", "tier/s", "speedup"
@@ -348,90 +330,70 @@ fn costmodel_bench(
     for w in workloads {
         for &kind in kinds {
             let spec = MachineSpec::of(kind);
-            let (slice, rates) =
-                interleaved_rates(w.as_ref(), &spec, &[ExecTier::Predecoded, tier], min_ms);
+            let tiers = [ExecTier::Predecoded, ExecTier::Jit];
+            let (slice, rates) = interleaved_rates(w.as_ref(), &spec, &tiers, min_ms);
             let (pre, fast) = (rates[0], rates[1]);
             let ratio = fast / pre.max(1e-9);
             ratios.push(ratio);
             println!(
-                "{:<10} {:>9} | {:>13.0} {:>13.0} {:>8.2}x",
+                "{:<10} {:>9} | {pre:>13.0} {fast:>13.0} {ratio:>8.2}x",
                 w.name(),
                 kind.name(),
-                pre,
-                fast,
-                ratio
             );
-            rows.push(Json::obj(vec![
-                ("workload", Json::Str(w.name().to_owned())),
-                ("machine", Json::Str(kind.name().to_owned())),
-                ("invocations_per_slice", Json::U(slice)),
-                ("rounds", Json::U(AB_ROUNDS as u64)),
-                ("predecoded_per_sec", Json::F(pre)),
-                ("tier_per_sec", Json::F(fast)),
-                ("speedup_vs_predecoded", Json::F(ratio)),
-            ]));
+            rows.push(record(
+                w.as_ref(),
+                kind,
+                [
+                    ("invocations_per_slice", Json::U(slice)),
+                    ("rounds", Json::U(AB_ROUNDS as u64)),
+                    ("predecoded_per_sec", Json::F(pre)),
+                    ("tier_per_sec", Json::F(fast)),
+                    ("speedup_vs_predecoded", Json::F(ratio)),
+                ],
+            ));
         }
     }
     let med_ratio = median(&ratios);
     let (pass, regression_pct) = match baseline_ratio {
         Some(base) if base > 0.0 => {
             let reg = (base - med_ratio) / base * 100.0;
-            (reg <= tolerance_pct, reg)
+            (reg <= COSTMODEL_TOLERANCE_PCT, reg)
         }
         _ => (true, 0.0),
     };
-    let doc = Json::obj(vec![
-        ("tier", Json::Str(tier.name().to_owned())),
-        ("pairs", Json::U(rows.len() as u64)),
-        ("median_speedup_vs_predecoded", Json::F(med_ratio)),
-        (
-            "baseline_median_speedup",
-            baseline_ratio.map_or(Json::Null, Json::F),
-        ),
-        ("regression_pct", Json::F(regression_pct)),
-        ("tolerance_pct", Json::F(tolerance_pct)),
-        ("pass", Json::Bool(pass)),
-        ("records", Json::Arr(rows)),
-    ]);
-    std::fs::File::create(json_path)
-        .and_then(|mut f| f.write_all((doc.pretty() + "\n").as_bytes()))
-        .expect("write costmodel json");
     println!();
     match baseline_ratio {
         Some(base) => println!(
-            "cost-model gate — median {} speedup {med_ratio:.2}x vs baseline {base:.2}x \
-             ({regression_pct:+.1}% regression, tolerance {tolerance_pct}%)",
-            tier.name()
+            "cost-model gate — median jit speedup {med_ratio:.2}x vs baseline {base:.2}x \
+             ({regression_pct:+.1}% regression, tolerance {COSTMODEL_TOLERANCE_PCT}%)"
         ),
-        None => println!(
-            "cost-model gate — median {} speedup {med_ratio:.2}x (no baseline; recorded)",
-            tier.name()
-        ),
+        None => {
+            println!("cost-model gate — median jit speedup {med_ratio:.2}x (no baseline; recorded)")
+        }
     }
-    println!("wrote {json_path}");
-    if !pass {
-        eprintln!(
-            "error: cost-model speedup regressed {regression_pct:.1}% vs baseline \
-             (tolerance {tolerance_pct}%)"
-        );
-    }
-    pass
+    let summary = vec![
+        ("tier", Json::Str(ExecTier::Jit.name().to_owned())),
+        ("pairs", Json::U(rows.len() as u64)),
+        ("median_speedup_vs_predecoded", Json::F(med_ratio)),
+        ("baseline_median_speedup", baseline_ratio.map_or(Json::Null, Json::F)),
+        ("regression_pct", Json::F(regression_pct)),
+        ("tolerance_pct", Json::F(COSTMODEL_TOLERANCE_PCT)),
+    ];
+    write_artifact(json_path, summary, pass, rows)
 }
 
 /// The tier A/B comparison behind `--jit`. For every workload×machine
 /// pair: interleaved fixed-work slices of the three execution tiers
 /// (rotating tier order per round cancels thermal/frequency drift),
-/// medians per tier, and the jit-vs-predecoded speedup. Writes
-/// `json_path` and returns whether the fraction of pairs where jit is
-/// *slower* than predecoded stayed at or under `gate_pct`.
+/// medians per tier, and the jit-vs-predecoded speedup. Passes when the
+/// share of pairs where jit is *slower* than predecoded stays at or
+/// under [`JIT_GATE_PCT`].
 fn jit_bench(
     json_path: &str,
-    gate_pct: f64,
-    min_ms: u64,
     workloads: &[Box<dyn Workload>],
     kinds: &[MachineKind],
+    min_ms: u64,
 ) -> bool {
-    println!();
     println!("jit tier A/B — {AB_ROUNDS} interleaved rounds per workload×machine");
     println!(
         "{:<10} {:>9} | {:>13} {:>13} {:>13} {:>9}",
@@ -453,55 +415,40 @@ fn jit_bench(
                 fast5 += 1;
             }
             println!(
-                "{:<10} {:>9} | {:>13.0} {:>13.0} {:>13.0} {:>8.2}x",
+                "{:<10} {:>9} | {interp:>13.0} {pre:>13.0} {jit:>13.0} {speedup:>8.2}x",
                 w.name(),
                 kind.name(),
-                interp,
-                pre,
-                jit,
-                speedup
             );
-            rows.push(Json::obj(vec![
-                ("workload", Json::Str(w.name().to_owned())),
-                ("machine", Json::Str(kind.name().to_owned())),
-                ("invocations_per_slice", Json::U(slice)),
-                ("rounds", Json::U(AB_ROUNDS as u64)),
-                ("interp_per_sec", Json::F(interp)),
-                ("predecoded_per_sec", Json::F(pre)),
-                ("jit_per_sec", Json::F(jit)),
-                ("jit_speedup_vs_predecoded", Json::F(speedup)),
-                ("interp_slowdown_vs_predecoded", Json::F(pre / interp.max(1e-9))),
-            ]));
+            rows.push(record(
+                w.as_ref(),
+                kind,
+                [
+                    ("invocations_per_slice", Json::U(slice)),
+                    ("rounds", Json::U(AB_ROUNDS as u64)),
+                    ("interp_per_sec", Json::F(interp)),
+                    ("predecoded_per_sec", Json::F(pre)),
+                    ("jit_per_sec", Json::F(jit)),
+                    ("jit_speedup_vs_predecoded", Json::F(speedup)),
+                    ("interp_slowdown_vs_predecoded", Json::F(pre / interp.max(1e-9))),
+                ],
+            ));
         }
     }
     let pairs = rows.len().max(1);
     let slower_pct = slower as f64 / pairs as f64 * 100.0;
-    let pass = slower_pct <= gate_pct;
-    let doc = Json::obj(vec![
+    println!();
+    println!(
+        "jit gate — {slower}/{pairs} pairs slower than predecoded ({slower_pct:.0}%, \
+         gate {JIT_GATE_PCT}%); {fast5}/{pairs} pairs at ≥5x"
+    );
+    let summary = vec![
         ("pairs", Json::U(pairs as u64)),
         ("jit_slower_pairs", Json::U(slower as u64)),
         ("jit_slower_pct", Json::F(slower_pct)),
         ("jit_5x_or_better_pairs", Json::U(fast5 as u64)),
-        ("gate_pct", Json::F(gate_pct)),
-        ("pass", Json::Bool(pass)),
-        ("records", Json::Arr(rows)),
-    ]);
-    std::fs::File::create(json_path)
-        .and_then(|mut f| f.write_all((doc.pretty() + "\n").as_bytes()))
-        .expect("write jit json");
-    println!();
-    println!(
-        "jit gate — {slower}/{pairs} pairs slower than predecoded ({slower_pct:.0}%, \
-         gate {gate_pct}%); {fast5}/{pairs} pairs at ≥5x"
-    );
-    println!("wrote {json_path}");
-    if !pass {
-        eprintln!(
-            "error: jit tier slower than predecoded on {slower_pct:.0}% of pairs \
-             (gate {gate_pct}%)"
-        );
-    }
-    pass
+        ("gate_pct", Json::F(JIT_GATE_PCT)),
+    ];
+    write_artifact(json_path, summary, slower_pct <= JIT_GATE_PCT, rows)
 }
 
 /// The search-strategy shoot-out behind `--strategies`. Per
@@ -513,38 +460,25 @@ fn jit_bench(
 /// train-input production speedup over -O3; the ref-input speedup (the
 /// Figure 7 generalization framing) and a shared re-rating of all four
 /// winners in one frontier (the searches' own objective under identical
-/// windows) ride along in the artifact. Every strategy replays at 1, 2,
-/// and the default thread count; the runs must be bit-identical — the
-/// simulator is deterministic, so any divergence is a seeding or
-/// merge-order bug, not noise. The quality gate is two-level. Per pair,
-/// GA and clustered IE must each stay within `tolerance_pct` of random's
+/// windows) ride along in the artifact. Every strategy replays at each
+/// of [`thread_legs`]; the runs must be bit-identical — the simulator is
+/// deterministic, so any divergence is a seeding or merge-order bug, not
+/// noise. The quality gate is two-level. Per pair, GA and clustered IE
+/// must each stay within [`STRATEGIES_TOLERANCE_PCT`] of random's
 /// quality — a catastrophe guard: no-free-lunch means scatter sampling
 /// legitimately wins individual pairs by a couple percent at
 /// one-frontier budgets, but a structured strategy losing big anywhere
 /// is a real search bug. Across the grid, each must be geomean
-/// non-inferior to random within `agg_tolerance_pct` — random may win
-/// pairs, it must not win the war.
+/// non-inferior to random within [`STRATEGIES_AGG_TOLERANCE_PCT`] —
+/// random may win pairs, it must not win the war.
 fn strategies_bench(
     json_path: &str,
-    tolerance_pct: f64,
-    agg_tolerance_pct: f64,
     workloads: &[Box<dyn Workload>],
     kinds: &[MachineKind],
 ) -> bool {
-    use peak_core::consultant::Method;
-    use peak_core::{
-        production_time, search_with_strategy_spent, strategy_seed, Pool, SearchResult,
-        StrategyKind, TuningSetup,
-    };
+    use peak_core::{production_time, search_with_strategy_spent, strategy_seed, StrategyKind};
 
-    let default_threads = peak_core::default_threads();
-    let mut threads: Vec<usize> = Vec::new();
-    for k in [1, 2, default_threads] {
-        if !threads.contains(&k) {
-            threads.push(k);
-        }
-    }
-    println!();
+    let threads = thread_legs();
     println!(
         "strategy shoot-out — GA / clustered IE / random at IE's budget, threads {threads:?}"
     );
@@ -606,23 +540,21 @@ fn strategies_bench(
             // Quality: production-time speedup over -O3 on the train
             // input (the tuning objective's ground truth), with the
             // ref-input speedup and a shared winner re-rating reported
-            // alongside. The per-pair gate tolerates `tolerance_pct` as
-            // a catastrophe band: the searches pick winners by windowed
-            // TS ratings whose round-to-round reproducibility is ~1%,
-            // and at one-frontier budgets random's scatter sampling can
-            // legitimately land a multi-flag combination no structured
-            // search at the same budget would rate — so single-pair
-            // losses of a couple percent are expected, and the per-pair
-            // gate only catches a strategy losing by a margin a user
-            // would feel. Systematic inferiority is the aggregate
-            // geomean gate's job.
+            // alongside. The per-pair gate is a catastrophe band: the
+            // searches pick winners by windowed TS ratings whose
+            // round-to-round reproducibility is ~1%, and at one-frontier
+            // budgets random's scatter sampling can legitimately land a
+            // multi-flag combination no structured search at the same
+            // budget would rate — so single-pair losses of a couple
+            // percent are expected, and the per-pair gate only catches a
+            // strategy losing by a margin a user would feel. Systematic
+            // inferiority is the aggregate geomean gate's job.
             let o3_train = production_time(w.as_ref(), &spec, OptConfig::o3(), Dataset::Train);
             let o3_ref = production_time(w.as_ref(), &spec, OptConfig::o3(), Dataset::Ref);
             let quality = |r: &SearchResult, ds: Dataset, o3: u64| {
                 o3 as f64 / (production_time(w.as_ref(), &spec, r.best, ds) as f64).max(1.0)
             };
-            let train_q =
-                |r: &SearchResult| quality(r, Dataset::Train, o3_train);
+            let train_q = |r: &SearchResult| quality(r, Dataset::Train, o3_train);
             let ref_q = |r: &SearchResult| quality(r, Dataset::Ref, o3_ref);
             let (q_ie, q_ga, q_cl, q_rnd) =
                 (train_q(&ie), train_q(&ga), train_q(&cl), train_q(&rnd));
@@ -633,8 +565,7 @@ fn strategies_bench(
                     .map(|o| o.improvements)
                     .unwrap_or_else(|| vec![1.0; winners.len()])
             };
-            let (ri_ga, ri_cl, ri_rnd) = (rated[1], rated[2], rated[3]);
-            let floor = q_rnd * (1.0 - tolerance_pct / 100.0);
+            let floor = q_rnd * (1.0 - STRATEGIES_TOLERANCE_PCT / 100.0);
             let quality_ok = q_ga >= floor && q_cl >= floor;
             if !quality_ok {
                 quality_failures += 1;
@@ -668,52 +599,32 @@ fn strategies_bench(
                     ),
                 ])
             };
-            rows.push(Json::obj(vec![
-                ("workload", Json::Str(w.name().to_owned())),
-                ("machine", Json::Str(kind.name().to_owned())),
-                ("budget", Json::U(ie_spent as u64)),
-                ("thread_identical", Json::Bool(identical)),
-                ("quality_gate_ok", Json::Bool(quality_ok)),
-                (
-                    "strategies",
-                    Json::Arr(vec![
-                        strat_json("ie", &ie, ie_spent, q_ie, rated[0]),
-                        strat_json("ga", &ga, ga_spent, q_ga, ri_ga),
-                        strat_json("clustered", &cl, cl_spent, q_cl, ri_cl),
-                        strat_json("random", &rnd, rnd_spent, q_rnd, ri_rnd),
-                    ]),
-                ),
-            ]));
+            rows.push(record(
+                w.as_ref(),
+                kind,
+                [
+                    ("budget", Json::U(ie_spent as u64)),
+                    ("thread_identical", Json::Bool(identical)),
+                    ("quality_gate_ok", Json::Bool(quality_ok)),
+                    (
+                        "strategies",
+                        Json::Arr(vec![
+                            strat_json("ie", &ie, ie_spent, q_ie, rated[0]),
+                            strat_json("ga", &ga, ga_spent, q_ga, rated[1]),
+                            strat_json("clustered", &cl, cl_spent, q_cl, rated[2]),
+                            strat_json("random", &rnd, rnd_spent, q_rnd, rated[3]),
+                        ]),
+                    ),
+                ],
+            ));
         }
     }
     let pairs = rows.len();
     // Aggregate gate: geomean quality ratio vs random across the grid.
     let gm_ga = (log_ga / (pairs.max(1)) as f64).exp();
     let gm_cl = (log_cl / (pairs.max(1)) as f64).exp();
-    let agg_floor = 1.0 - agg_tolerance_pct / 100.0;
+    let agg_floor = 1.0 - STRATEGIES_AGG_TOLERANCE_PCT / 100.0;
     let aggregate_ok = gm_ga >= agg_floor && gm_cl >= agg_floor;
-    let pass = quality_failures == 0 && identity_failures == 0 && aggregate_ok;
-    let doc = Json::obj(vec![
-        ("pairs", Json::U(pairs as u64)),
-        (
-            "threads",
-            Json::Arr(threads.iter().map(|&t| Json::U(t as u64)).collect()),
-        ),
-        ("tolerance_pct", Json::F(tolerance_pct)),
-        ("agg_tolerance_pct", Json::F(agg_tolerance_pct)),
-        (
-            "geomean_vs_random",
-            Json::obj(vec![("ga", Json::F(gm_ga)), ("clustered", Json::F(gm_cl))]),
-        ),
-        ("aggregate_gate_ok", Json::Bool(aggregate_ok)),
-        ("quality_gate_failures", Json::U(quality_failures as u64)),
-        ("thread_identity_failures", Json::U(identity_failures as u64)),
-        ("pass", Json::Bool(pass)),
-        ("records", Json::Arr(rows)),
-    ]);
-    std::fs::File::create(json_path)
-        .and_then(|mut f| f.write_all((doc.pretty() + "\n").as_bytes()))
-        .expect("write strategies json");
     println!();
     println!(
         "strategy gate — {pairs} pairs: {quality_failures} quality failures, \
@@ -722,18 +633,25 @@ fn strategies_bench(
          (floor {agg_floor:.4}{})",
         if aggregate_ok { "" } else { ", FAIL" }
     );
-    println!("wrote {json_path}");
-    if !pass {
-        eprintln!(
-            "error: strategy shoot-out failed ({quality_failures} quality, \
-             {identity_failures} identity, aggregate_ok {aggregate_ok})"
-        );
-    }
-    pass
+    let summary = vec![
+        ("pairs", Json::U(pairs as u64)),
+        ("threads", Json::Arr(threads.iter().map(|&t| Json::U(t as u64)).collect())),
+        ("tolerance_pct", Json::F(STRATEGIES_TOLERANCE_PCT)),
+        ("agg_tolerance_pct", Json::F(STRATEGIES_AGG_TOLERANCE_PCT)),
+        (
+            "geomean_vs_random",
+            Json::obj(vec![("ga", Json::F(gm_ga)), ("clustered", Json::F(gm_cl))]),
+        ),
+        ("aggregate_gate_ok", Json::Bool(aggregate_ok)),
+        ("quality_gate_failures", Json::U(quality_failures as u64)),
+        ("thread_identity_failures", Json::U(identity_failures as u64)),
+    ];
+    let pass = quality_failures == 0 && identity_failures == 0 && aggregate_ok;
+    write_artifact(json_path, summary, pass, rows)
 }
 
 /// Run exactly `count` TS invocations on `engine` and return wall
-/// seconds — the fixed-work slice both sides of an A/B comparison share.
+/// seconds — the fixed-work slice every timed mode measures.
 fn timed_fixed_invocations(
     w: &dyn Workload,
     spec: &MachineSpec,
@@ -758,6 +676,21 @@ fn timed_fixed_invocations(
     start.elapsed().as_secs_f64()
 }
 
+/// Invocations per slice so that `slices` slices on `engine` run about
+/// `min_ms` together: 64 untimed invocations materialize the argument
+/// stream, then 512 timed ones set the rate.
+fn slice_size(
+    w: &dyn Workload,
+    spec: &MachineSpec,
+    engine: &dyn TierBackend,
+    min_ms: u64,
+    slices: usize,
+) -> u64 {
+    let _ = timed_fixed_invocations(w, spec, engine, 64);
+    let rate = 512.0 / timed_fixed_invocations(w, spec, engine, 512).max(1e-9);
+    (rate * (min_ms as f64 / 1000.0) / slices as f64) as u64
+}
+
 /// Rounds of interleaved slices in the `--jit` and `--costmodel` A/B.
 const AB_ROUNDS: usize = 5;
 
@@ -765,10 +698,9 @@ const AB_ROUNDS: usize = 5;
 /// `tiers`, all built from one prepared version: `AB_ROUNDS` rounds of
 /// one fixed-work slice per engine, rotating which engine goes first
 /// each round so drift favours none, and the median per engine. The
-/// last tier is the engine under test: 64 untimed invocations on it
-/// materialize the argument stream, then 512 on the predecoded engine
-/// size the slice so each runs roughly `min_ms / AB_ROUNDS`. Returns the
-/// slice and the rates in `tiers` order.
+/// predecoded engine sizes the slice so each runs roughly
+/// `min_ms / AB_ROUNDS`. Returns the slice and the rates in `tiers`
+/// order.
 fn interleaved_rates(
     w: &dyn Workload,
     spec: &MachineSpec,
@@ -782,10 +714,7 @@ fn interleaved_rates(
         .iter()
         .position(|&t| t == ExecTier::Predecoded)
         .expect("a predecoded engine to calibrate on");
-    let _ = timed_fixed_invocations(w, spec, &*engines[engines.len() - 1], 64);
-    let warm = timed_fixed_invocations(w, spec, &*engines[pre], 512);
-    let rate = 512.0 / warm.max(1e-9);
-    let slice = ((rate * (min_ms as f64 / 1000.0) / AB_ROUNDS as f64) as u64).clamp(256, 1 << 20);
+    let slice = slice_size(w, spec, &*engines[pre], min_ms, AB_ROUNDS).clamp(256, 1 << 20);
     let mut secs = vec![Vec::with_capacity(AB_ROUNDS); engines.len()];
     for round in 0..AB_ROUNDS {
         for k in 0..engines.len() {
@@ -802,28 +731,26 @@ fn median(xs: &[f64]) -> f64 {
     v[v.len() / 2]
 }
 
-/// The metrics-overhead gate behind `--obs`. Runs pairs of back-to-back
-/// metrics-on and metrics-off slices of the same fixed invocation count,
-/// writes `json_path`, and returns whether the median over pairs of the
-/// on/off time ratio exceeds 1 by at most `gate_pct` percent. A pair's
-/// two slices share whatever the host was doing at the time, so its
-/// ratio cancels a host slowdown spanning both, and the median drops the
-/// pairs a slowdown split. Slices are short, so that most pairs fall
-/// between a noisy host's slow spells, and pairs are many, so that the
-/// median has enough of those to stand on. Measures `tier`'s engine (the
-/// default jit unless `--tier` says otherwise).
-fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> bool {
+/// The metrics-overhead gate behind `--obs`, on SWIM/SPARC-II. Runs
+/// pairs of back-to-back metrics-on and metrics-off slices of the same
+/// fixed invocation count on `tier`'s engine, and passes when the median
+/// over pairs of the on/off time ratio exceeds 1 by at most
+/// [`OBS_GATE_PCT`] percent. A pair's two slices share whatever the host
+/// was doing at the time, so its ratio cancels a host slowdown spanning
+/// both, and the median drops the pairs a slowdown split. Slices are
+/// short, so that most pairs fall between a noisy host's slow spells,
+/// and pairs are many, so that the median has enough of those to stand
+/// on.
+fn obs_bench(json_path: &str, min_ms: u64, tier: ExecTier) -> bool {
     use peak_obs::metrics;
 
     const PAIRS: usize = 41;
     let w = peak_workloads::workload_by_name("swim").expect("swim workload");
-    let spec = MachineSpec::sparc_ii();
+    let kind = MachineKind::SparcII;
+    let spec = MachineSpec::of(kind);
     let engine = build_engine(prepare_o3(w.as_ref(), &spec), tier, &Tracer::disabled());
-    // Calibrate the slice size so the PAIRS slices of each side run for
-    // roughly min_ms together.
-    let warm_secs = timed_fixed_invocations(w.as_ref(), &spec, &*engine, 512);
-    let rate = 512.0 / warm_secs.max(1e-9);
-    let slice = ((rate * (min_ms as f64 / 1000.0) / PAIRS as f64) as u64).max(1);
+    // The PAIRS slices of each side run for roughly min_ms together.
+    let slice = slice_size(w.as_ref(), &spec, &*engine, min_ms, PAIRS).max(1);
     let restore = metrics::enabled();
     let mut on = Vec::with_capacity(PAIRS);
     let mut off = Vec::with_capacity(PAIRS);
@@ -840,158 +767,141 @@ fn obs_bench(json_path: &str, gate_pct: f64, min_ms: u64, tier: ExecTier) -> boo
     metrics::set_enabled(restore);
     let ratios: Vec<f64> = on.iter().zip(&off).map(|(a, b)| a / b.max(1e-9)).collect();
     let overhead_pct = (median(&ratios) - 1.0) * 100.0;
-    let pass = overhead_pct <= gate_pct;
-    let doc = Json::obj(vec![
-        ("workload", Json::Str("swim".to_owned())),
-        ("machine", Json::Str("SPARC-II".to_owned())),
-        ("tier", Json::Str(engine.tier().name().to_owned())),
-        ("invocations_per_slice", Json::U(slice)),
-        ("pairs", Json::U(PAIRS as u64)),
-        ("on_secs", Json::Arr(on.iter().map(|&s| Json::F(s)).collect())),
-        ("off_secs", Json::Arr(off.iter().map(|&s| Json::F(s)).collect())),
-        ("overhead_pct", Json::F(overhead_pct)),
-        ("gate_pct", Json::F(gate_pct)),
-        ("pass", Json::Bool(pass)),
-    ]);
-    std::fs::File::create(json_path)
-        .and_then(|mut f| f.write_all((doc.pretty() + "\n").as_bytes()))
-        .expect("write obs json");
-    println!();
     println!(
         "obs overhead gate — {slice} invocations/slice × {PAIRS} interleaved pairs: \
-         median on/off time ratio → {overhead_pct:+.2}% (gate {gate_pct}%)"
+         median on/off time ratio → {overhead_pct:+.2}% (gate {OBS_GATE_PCT}%)"
     );
-    println!("wrote {json_path}");
-    if !pass {
-        eprintln!("error: metrics overhead {overhead_pct:.2}% exceeds the {gate_pct}% gate");
-    }
-    pass
+    let slices = record(
+        w.as_ref(),
+        kind,
+        [
+            ("tier", Json::Str(engine.tier().name().to_owned())),
+            ("invocations_per_slice", Json::U(slice)),
+            ("pairs", Json::U(PAIRS as u64)),
+            ("on_secs", Json::Arr(on.iter().map(|&s| Json::F(s)).collect())),
+            ("off_secs", Json::Arr(off.iter().map(|&s| Json::F(s)).collect())),
+            ("overhead_pct", Json::F(overhead_pct)),
+        ],
+    );
+    let summary =
+        vec![("overhead_pct", Json::F(overhead_pct)), ("gate_pct", Json::F(OBS_GATE_PCT))];
+    write_artifact(json_path, summary, overhead_pct <= OBS_GATE_PCT, vec![slices])
 }
 
-/// Render the full Table-1 sweep (all workloads, SPARC-II) on `pool` and
-/// return the rendered rows — the same per-benchmark fan-out `table1`
-/// runs, minus the I/O.
-fn table1_rows(pool: &peak_core::Pool) -> Vec<String> {
-    let workloads = peak_workloads::all_workloads();
-    let spec = MachineSpec::sparc_ii();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            let spec = &spec;
-            move || {
-                peak_core::consistency_rows(w.as_ref(), spec)
-                    .iter()
-                    .map(peak_bench::render_consistency_row)
-                    .collect::<Vec<String>>()
-            }
-        })
-        .collect();
-    pool.run(jobs).into_iter().flatten().collect()
-}
-
-/// Scheduler scaling benchmark behind `--search`: time the Table-1 sweep
-/// and a 2-round parallel IE search at 1, 2, and the default thread
-/// count. The global version cache is cleared before every leg so each
-/// one pays (and, at >1 threads, parallelizes) the same compile work.
-fn search_bench(json_path: &str) {
-    use peak_core::consultant::Method;
-    use peak_core::{FrontierRater, IterativeElimination, Pool, SearchStrategy, TuningSetup};
+/// Scheduler scaling benchmark behind `--search`, on SPARC-II: at each of
+/// [`thread_legs`], time the Table 1 sweep over `workloads` (every one:
+/// the mode reads no `--bench`) and a 2-round pooled IE search on SWIM,
+/// one record per thread count. The
+/// global version cache is cleared before every timing so each one pays
+/// (and, at >1 threads, parallelizes) the same compile work. Passes when
+/// both outputs are identical at every thread count and, with at least
+/// two default threads, the sweep runs at least 1.2× faster at the
+/// default count than on one thread.
+fn search_bench(json_path: &str, workloads: &[Box<dyn Workload>]) -> bool {
+    use peak_core::{FrontierRater, IterativeElimination, SearchStrategy};
 
     const SEARCH_ROUNDS: usize = 2;
+    const MIN_TABLE1_SPEEDUP: f64 = 1.2;
     let default_threads = peak_core::default_threads();
-    let mut ks: Vec<usize> = Vec::new();
-    for k in [1, 2, default_threads] {
-        if !ks.contains(&k) {
-            ks.push(k);
-        }
-    }
-    println!();
-    println!("search scaling — thread counts {ks:?} (default {default_threads})");
-
-    let mut t1_legs: Vec<(usize, f64)> = Vec::new();
-    let mut t1_outputs: Vec<String> = Vec::new();
-    for &k in &ks {
-        VersionCache::global().clear();
-        let pool = peak_core::Pool::with_threads(k);
-        let start = Instant::now();
-        let rows = table1_rows(&pool);
-        let secs = start.elapsed().as_secs_f64();
-        println!("  table1 sweep   threads={k:<2}  {secs:7.2}s  ({} rows)", rows.len());
-        t1_legs.push((k, secs));
-        t1_outputs.push(rows.join("\n"));
-    }
-    let t1_identical = t1_outputs.windows(2).all(|w| w[0] == w[1]);
-    let t1_speedup = t1_legs[0].1 / t1_legs.last().unwrap().1.max(1e-9);
-
-    let spec = MachineSpec::sparc_ii();
+    let legs = thread_legs();
+    println!("search scaling — thread counts {legs:?} (default {default_threads})");
+    let kind = MachineKind::SparcII;
+    let spec = MachineSpec::of(kind);
     let swim = peak_workloads::workload_by_name("swim").expect("swim workload");
-    let mut se_legs: Vec<(usize, f64, peak_core::SearchResult)> = Vec::new();
-    for &k in &ks {
-        VersionCache::global().clear();
+    let mut records = Vec::new();
+    let mut outputs: Vec<(Vec<String>, SearchResult)> = Vec::new();
+    let mut secs: Vec<(f64, f64)> = Vec::new();
+    for &k in &legs {
         let pool = Pool::with_threads(k);
+        VersionCache::global().clear();
+        let start = Instant::now();
+        let rows: Vec<String> = peak_bench::table1_rows(&pool, workloads, &spec, None)
+            .iter()
+            .map(peak_bench::render_consistency_row)
+            .collect();
+        let t1_secs = start.elapsed().as_secs_f64();
+        VersionCache::global().clear();
         let mut setup = TuningSetup::new(swim.as_ref(), spec.clone(), Dataset::Train);
         let start = Instant::now();
         let ie = IterativeElimination { max_rounds: SEARCH_ROUNDS, ..Default::default() };
         let result = ie.run(&mut FrontierRater::pooled(&mut setup, pool, Method::Cbr));
-        let secs = start.elapsed().as_secs_f64();
+        let se_secs = start.elapsed().as_secs_f64();
         println!(
-            "  parallel IE    threads={k:<2}  {secs:7.2}s  ({} ratings, {} runs)",
-            result.ratings, result.runs
+            "  threads={k:<2}  table1 sweep {t1_secs:7.2}s ({} rows)   \
+             parallel IE {se_secs:7.2}s ({} ratings, {} runs)",
+            rows.len(),
+            result.ratings,
+            result.runs
         );
-        se_legs.push((k, secs, result));
+        records.push(record(
+            swim.as_ref(),
+            kind,
+            [
+                ("threads", Json::U(k as u64)),
+                ("table1_secs", Json::F(t1_secs)),
+                ("search_secs", Json::F(se_secs)),
+                ("search_secs_per_round", Json::F(se_secs / SEARCH_ROUNDS as f64)),
+                ("ratings", Json::U(result.ratings as u64)),
+                ("runs", Json::U(result.runs as u64)),
+            ],
+        ));
+        outputs.push((rows, result));
+        secs.push((t1_secs, se_secs));
     }
-    let se_identical = se_legs.windows(2).all(|w| {
-        let (a, b) = (&w[0].2, &w[1].2);
+    let t1_identical = outputs.windows(2).all(|p| p[0].0 == p[1].0);
+    let se_identical = outputs.windows(2).all(|p| {
+        let (a, b) = (&p[0].1, &p[1].1);
         a.disabled_flags == b.disabled_flags
             && a.ratings == b.ratings
             && a.tuning_cycles == b.tuning_cycles
             && a.runs == b.runs
             && a.invocations == b.invocations
     });
-    let se_speedup = se_legs[0].1 / se_legs.last().unwrap().1.max(1e-9);
-
-    let leg_json = |threads: usize, secs: f64| {
-        Json::obj(vec![("threads", Json::U(threads as u64)), ("secs", Json::F(secs))])
-    };
-    let doc = Json::obj(vec![
-        ("default_threads", Json::U(default_threads as u64)),
-        (
-            "table1_scaling",
-            Json::Arr(t1_legs.iter().map(|&(k, s)| leg_json(k, s)).collect()),
-        ),
-        ("table1_identical", Json::Bool(t1_identical)),
-        ("table1_speedup_default_vs_1", Json::F(t1_speedup)),
-        ("search_rounds", Json::U(SEARCH_ROUNDS as u64)),
-        (
-            "search_scaling",
-            Json::Arr(
-                se_legs
-                    .iter()
-                    .map(|(k, s, r)| {
-                        Json::obj(vec![
-                            ("threads", Json::U(*k as u64)),
-                            ("secs", Json::F(*s)),
-                            ("secs_per_round", Json::F(*s / SEARCH_ROUNDS as f64)),
-                            ("ratings", Json::U(r.ratings as u64)),
-                            ("runs", Json::U(r.runs as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("search_identical", Json::Bool(se_identical)),
-        ("search_speedup_default_vs_1", Json::F(se_speedup)),
-    ]);
-    std::fs::File::create(json_path)
-        .and_then(|mut f| f.write_all((doc.pretty() + "\n").as_bytes()))
-        .expect("write search json");
+    let (first, last) = (secs[0], secs[secs.len() - 1]);
+    let t1_speedup = first.0 / last.0.max(1e-9);
+    let se_speedup = first.1 / last.1.max(1e-9);
     println!(
         "  table1 identical: {t1_identical}, speedup {t1_speedup:.2}x; \
          search identical: {se_identical}, speedup {se_speedup:.2}x"
     );
-    println!("wrote {json_path}");
+    let scales = default_threads < 2 || t1_speedup >= MIN_TABLE1_SPEEDUP;
+    let summary = vec![
+        ("default_threads", Json::U(default_threads as u64)),
+        ("search_rounds", Json::U(SEARCH_ROUNDS as u64)),
+        ("table1_rows", Json::U(outputs[0].0.len() as u64)),
+        ("table1_identical", Json::Bool(t1_identical)),
+        ("table1_speedup_default_vs_1", Json::F(t1_speedup)),
+        ("min_table1_speedup", Json::F(MIN_TABLE1_SPEEDUP)),
+        ("search_identical", Json::Bool(se_identical)),
+        ("search_speedup_default_vs_1", Json::F(se_speedup)),
+    ];
+    write_artifact(json_path, summary, t1_identical && se_identical && scales, records)
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mode_of(args: &[&str]) -> Result<Mode, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        mode(&Flags::parse(&args, &VALUE_FLAGS, &MODES.map(|(s, _)| s), 0)?)
+    }
+
+    #[test]
+    fn one_mode_per_run() {
+        assert_eq!(mode_of(&[]), Ok(Mode::Rates));
+        assert_eq!(mode_of(&["--jit", "--min-ms", "200"]), Ok(Mode::Jit));
+        assert_eq!(mode_of(&["--bench", "swim", "--strategies"]), Ok(Mode::Strategies));
+        assert!(mode_of(&["--jit", "--obs"]).is_err());
+        assert!(mode_of(&["--costmodle"]).is_err());
+    }
+
+    #[test]
+    fn a_mode_rejects_flags_it_does_not_read() {
+        assert!(mode_of(&["--search", "--bench", "swim"]).is_err());
+        assert!(mode_of(&["--obs", "--bench", "swim"]).is_err());
+        assert!(mode_of(&["--strategies", "--min-ms", "50"]).is_err());
+        assert!(mode_of(&["--jit", "--tier", "jit"]).is_err());
+        assert_eq!(mode_of(&["--search", "--json", "x.json"]), Ok(Mode::Search));
+    }
 }

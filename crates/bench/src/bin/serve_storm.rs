@@ -20,6 +20,7 @@
 //!
 //! Exits non-zero on any contract violation (CI runs a short storm).
 
+use peak_bench::Flags;
 use peak_core::{consult, Pool};
 use peak_obs::Tracer;
 use peak_serve::{RetryPolicy, ServeConfig};
@@ -34,10 +35,6 @@ use std::os::unix::net::UnixStream;
 const BENCHMARKS: &[&str] = &["SWIM", "MGRID", "ART", "EQUAKE"];
 const MACHINES: &[&str] = &["SPARC-II", "Pentium-IV"];
 const METHODS: &[Option<&str>] = &[Some("CBR"), Some("RBR"), None];
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}
 
 struct Client {
     stream: UnixStream,
@@ -104,10 +101,9 @@ fn assert_structured(responses: &[Json]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let jobs: usize = arg_value(&args, "--jobs").map_or(6, |v| v.parse().expect("--jobs N"));
-    let seed: u64 =
-        arg_value(&args, "--seed").map_or(0x5702, |v| v.parse().expect("--seed S"));
+    let flags = Flags::from_env("serve_storm [--jobs N] [--seed S]", &["--jobs", "--seed"], &[], 0);
+    let jobs: usize = flags.parsed("--jobs", 6);
+    let seed: u64 = flags.parsed("--seed", 0x5702);
     let mut rng = StdRng::seed_from_u64(seed);
 
     let dir = std::env::temp_dir().join(format!("peak-storm-{}", std::process::id()));

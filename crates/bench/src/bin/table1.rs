@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p peak-bench --bin table1 \
-//!     [-- --machine sparc|p4] [--json PATH] [--trace PATH]
+//!     [-- --machine sparc|p4] [--bench NAME] [--json PATH] [--trace PATH]
 //! ```
 //!
 //! `--trace PATH` writes a JSONL telemetry trace (per-run simulator
@@ -17,86 +17,39 @@
 //! against itself, sampling EVALs across windows w ∈ {10,20,40,80,160}
 //! and reporting `Mean(StdDev)×100` of the rating error — paper Eq. 7-10.
 
-use peak_bench::render_consistency_row;
-use peak_core::consistency::consistency_rows_traced;
-use peak_obs::{BufferSink, JsonlSink, TraceSink, Tracer};
-use peak_sim::{MachineKind, MachineSpec};
-use peak_util::Json;
+use peak_bench::{machine_kind, render_consistency_row, select_benchmarks, table1_rows, Flags};
+use peak_obs::{JsonlSink, TraceSink};
+use peak_sim::MachineSpec;
 use std::io::Write;
-use std::sync::Arc;
+
+const USAGE: &str = "table1 [--machine sparc|p4] [--bench NAME] [--json PATH] [--trace PATH]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let machine = arg_value(&args, "--machine").unwrap_or_else(|| "sparc".into());
-    let json_path = arg_value(&args, "--json");
-    let trace_path = arg_value(&args, "--trace");
-    let only = arg_value(&args, "--bench");
-    let kind = match machine.as_str() {
-        "p4" | "pentium" | "pentium4" => MachineKind::PentiumIV,
-        "sparc" => MachineKind::SparcII,
-        other => {
-            eprintln!("error: unknown machine `{other}` (expected sparc or p4)");
-            std::process::exit(1);
-        }
-    };
-    if let Some(b) = &only {
-        if peak_workloads::workload_by_name(b).is_none() {
-            eprintln!("error: unknown benchmark `{b}`");
-            std::process::exit(1);
-        }
-    }
+    let flags = Flags::from_env(USAGE, &["--machine", "--bench", "--json", "--trace"], &[], 0);
+    let kind = flags.or_exit(machine_kind(flags.value("--machine").unwrap_or("sparc")));
+    let workloads = flags.or_exit(select_benchmarks(
+        peak_workloads::all_workloads(),
+        |w| w.name(),
+        flags.value("--bench"),
+    ));
     let spec = MachineSpec::of(kind);
     println!("Table 1 — Consistency of rating approaches ({})", kind.name());
     println!("Rating error Mean(StdDev)×100 per window size; experimental version = -O3 (self-comparison).");
     println!();
-    let workloads: Vec<_> = peak_workloads::all_workloads()
-        .into_iter()
-        .filter(|w| only.as_deref().is_none_or(|o| w.name().eq_ignore_ascii_case(o)))
-        .collect();
     // Parallel across benchmarks on the shared work-stealing pool
-    // (`PEAK_THREADS` overrides the size): each cell is an independent
-    // job, and `Pool::run` returns results in job order, so stdout, JSON,
-    // and trace bytes are identical at any thread count. With `--trace`,
-    // each job buffers its events locally; buffers are spliced into the
-    // trace file in benchmark order after the pool drains.
-    let tracing = trace_path.is_some();
-    let pool = peak_core::Pool::from_env();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            let spec = &spec;
-            move || {
-                let (tracer, sink) = if tracing {
-                    let sink = Arc::new(BufferSink::new());
-                    let tracer = Tracer::to_sink(sink.clone()).with_context(vec![
-                        ("benchmark".to_owned(), Json::Str(w.name().to_owned())),
-                        ("machine".to_owned(), Json::Str(spec.kind.name().to_owned())),
-                    ]);
-                    (tracer, Some(sink))
-                } else {
-                    (Tracer::disabled(), None)
-                };
-                let rows = consistency_rows_traced(w.as_ref(), spec, &tracer);
-                let lines = sink.map(|s| s.drain()).unwrap_or_default();
-                (rows, lines)
-            }
-        })
-        .collect();
-    let all_rows: Vec<(Vec<peak_core::ConsistencyRow>, Vec<String>)> = pool.run(jobs);
-    if let Some(path) = &trace_path {
-        let sink = JsonlSink::create(std::path::Path::new(path)).expect("create trace file");
-        for (_, lines) in &all_rows {
-            sink.append_lines(lines.iter());
-        }
+    // (`PEAK_THREADS` overrides the size): rows come back in benchmark
+    // order and each cell's trace is spliced in that order, so stdout,
+    // JSON, and trace bytes are identical at any thread count.
+    let trace_path = flags.value("--trace");
+    let sink = trace_path
+        .map(|path| JsonlSink::create(std::path::Path::new(path)).expect("create trace file"));
+    let flat = table1_rows(&peak_core::Pool::from_env(), &workloads, &spec, sink.as_ref());
+    if let (Some(sink), Some(path)) = (&sink, trace_path) {
         sink.flush();
         eprintln!("trace: wrote {path}");
     }
-    let mut flat = Vec::new();
-    for (rows, _) in all_rows {
-        for row in rows {
-            println!("{}", render_consistency_row(&row));
-            flat.push(row);
-        }
+    for row in &flat {
+        println!("{}", render_consistency_row(row));
     }
     println!();
     println!("paper shape checks:");
@@ -109,15 +62,11 @@ fn main() {
         shrinking,
         flat.len()
     );
-    if let Some(path) = json_path {
+    if let Some(path) = flags.value("--json") {
         let json = peak_util::to_string_pretty(&flat);
-        std::fs::File::create(&path)
+        std::fs::File::create(path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
             .expect("write json");
         println!("  wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }

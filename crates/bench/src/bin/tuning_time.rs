@@ -7,26 +7,18 @@
 //! cargo run --release -p peak-bench --bin tuning_time [-- --machine sparc|p4|both]
 //! ```
 
+use peak_bench::{machine_kinds, Flags};
 use peak_core::consultant::Method;
 use peak_core::rating::{rate, TuningSetup};
 use peak_opt::OptConfig;
-use peak_sim::{MachineKind, MachineSpec};
+use peak_sim::MachineSpec;
 use peak_workloads::Dataset;
 
 const BENCHMARKS: [&str; 4] = ["SWIM", "MGRID", "ART", "EQUAKE"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let machine = args
-        .iter()
-        .position(|a| a == "--machine")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "both".into());
-    let kinds: Vec<MachineKind> = match machine.as_str() {
-        "sparc" => vec![MachineKind::SparcII],
-        "p4" | "pentium4" => vec![MachineKind::PentiumIV],
-        _ => vec![MachineKind::SparcII, MachineKind::PentiumIV],
-    };
+    let flags = Flags::from_env("tuning_time [--machine sparc|p4|both]", &["--machine"], &[], 0);
+    let kinds = flags.or_exit(machine_kinds(flags.value("--machine").unwrap_or("both")));
     let base = OptConfig::o3();
     let candidates: Vec<OptConfig> =
         peak_opt::ALL_FLAGS.iter().map(|&f| base.without(f)).collect();

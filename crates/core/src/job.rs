@@ -121,14 +121,7 @@ impl ToJson for TuningJobSpec {
             ("benchmark", self.benchmark.to_json()),
             ("machine", self.machine.to_json()),
             ("method", self.method.map(|m| m.name().to_owned()).to_json()),
-            (
-                "dataset",
-                match self.dataset {
-                    Dataset::Train => "train",
-                    Dataset::Ref => "ref",
-                }
-                .to_json(),
-            ),
+            ("dataset", self.dataset.name().to_json()),
             ("start_bits", self.start_bits.to_json()),
             ("strategy", self.strategy.clone().to_json()),
         ])
@@ -183,11 +176,11 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// Resolve a machine name (the [`MachineKind::name`](peak_sim::MachineKind)
-/// strings, case-insensitive, plus `"sparc"`/`"p4"` shorthands).
+/// strings, case-insensitive, plus `"sparc"`/`"p4"`/`"pentium4"` shorthands).
 pub fn machine_spec_by_name(name: &str) -> Option<MachineSpec> {
     match name.to_ascii_lowercase().as_str() {
         "sparc-ii" | "sparc" | "sparcii" => Some(MachineSpec::sparc_ii()),
-        "pentium-iv" | "p4" | "pentiumiv" | "pentium" => Some(MachineSpec::pentium_iv()),
+        "pentium-iv" | "p4" | "pentiumiv" | "pentium" | "pentium4" => Some(MachineSpec::pentium_iv()),
         _ => None,
     }
 }

@@ -183,10 +183,7 @@ pub fn tune(
         ts: workload.ts_name().to_string(),
         machine: spec.kind.name().to_string(),
         method,
-        tuned_on: match tuned_on {
-            Dataset::Train => "train".into(),
-            Dataset::Ref => "ref".into(),
-        },
+        tuned_on: tuned_on.name().into(),
         search,
         baseline_cycles,
         tuned_cycles,
@@ -271,7 +268,7 @@ impl<'w> Tuner<'w> {
         TunerCheckpoint {
             benchmark: self.setup.workload.name().to_string(),
             machine: self.setup.spec.kind.name().to_string(),
-            dataset: dataset_name(self.setup.ds).to_string(),
+            dataset: self.setup.ds.name().to_string(),
             method: self.method,
             last_method: self.acct.last_method,
             base_bits: self.ie.base.bits(),
@@ -313,16 +310,12 @@ impl<'w> Tuner<'w> {
         if cp.machine != spec.kind.name() {
             return Err(invalid("machine", spec.kind.name(), &cp.machine));
         }
-        let ds = match cp.dataset.as_str() {
-            "train" => Dataset::Train,
-            "ref" => Dataset::Ref,
-            other => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint has unknown dataset {other:?}"),
-                ))
-            }
-        };
+        let ds = peak_workloads::dataset_by_name(&cp.dataset).ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("checkpoint has unknown dataset {:?}", cp.dataset),
+            )
+        })?;
         let mut tuner = Self::with_faults(workload, spec, cp.method, ds, cp.fault_config);
         tuner.setup.restore_accounting(
             cp.next_seed,
@@ -400,13 +393,6 @@ impl<'w> Tuner<'w> {
                 }
             }
         }
-    }
-}
-
-fn dataset_name(ds: Dataset) -> &'static str {
-    match ds {
-        Dataset::Train => "train",
-        Dataset::Ref => "ref",
     }
 }
 

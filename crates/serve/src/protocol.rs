@@ -152,11 +152,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             let dataset = match j.get("dataset") {
                 None | Some(Json::Null) => Dataset::Train,
-                Some(d) => match d.as_str() {
-                    Some("train") => Dataset::Train,
-                    Some("ref") => Dataset::Ref,
-                    _ => return Err("field \"dataset\" must be \"train\" or \"ref\"".into()),
-                },
+                Some(d) => d
+                    .as_str()
+                    .and_then(peak_workloads::dataset_by_name)
+                    .ok_or("field \"dataset\" must be \"train\" or \"ref\"")?,
             };
             let deadline_ms = match j.get("deadline_ms") {
                 None | Some(Json::Null) => None,

@@ -59,6 +59,21 @@ pub enum Dataset {
     Ref,
 }
 
+impl Dataset {
+    /// The input set's name: `"train"` or `"ref"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Dataset::Train => "train",
+            Dataset::Ref => "ref",
+        }
+    }
+}
+
+/// The dataset whose [`Dataset::name`] is `name` (exact spelling).
+pub fn dataset_by_name(name: &str) -> Option<Dataset> {
+    [Dataset::Train, Dataset::Ref].into_iter().find(|d| d.name() == name)
+}
+
 /// Paper Table 1 metadata for cross-checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperRow {

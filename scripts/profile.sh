@@ -34,7 +34,8 @@ echo "== build (release, symbols kept by profile.release debug=true) =="
 cargo build --release -p peak-bench --bin hotpath
 
 HOTPATH=target/release/hotpath
-RUN=("$HOTPATH" --bench "$WORKLOAD" --tier "$TIER" --min-ms "$((SECS * 1000))")
+RUN=("$HOTPATH" --bench "$WORKLOAD" --tier "$TIER" --min-ms "$((SECS * 1000))"
+     --json "$OUT/BENCH_hotpath.json")
 
 if command -v perf >/dev/null 2>&1 && \
    perf record -o "$OUT/perf.data" -g --call-graph dwarf -F 997 \
@@ -56,10 +57,13 @@ if command -v gprofng >/dev/null 2>&1; then
 fi
 
 echo "== wall-clock A/B (the numbers CI actually gates on) =="
-"$HOTPATH" --bench "$WORKLOAD" --min-ms 500 \
-    --jit --jit-json "$OUT/BENCH_jit.json" \
-    --costmodel --costmodel-json "$OUT/BENCH_costmodel.profile.json" || true
+"$HOTPATH" --jit --bench "$WORKLOAD" --min-ms 500 --json "$OUT/BENCH_jit.json" || true
+# --costmodel gates against the baseline in its --json file, so start
+# that file as a copy of the committed baseline.
+cp BENCH_costmodel.json "$OUT/BENCH_costmodel.json"
+"$HOTPATH" --costmodel --bench "$WORKLOAD" --min-ms 500 \
+    --json "$OUT/BENCH_costmodel.json" || true
 
 echo
-echo "artifacts in $OUT/: perf-report.txt gprofng-functions.txt BENCH_jit.json"
-echo "compare BENCH_costmodel.profile.json against the committed BENCH_costmodel.json"
+echo "artifacts in $OUT/: perf-report.txt gprofng-functions.txt BENCH_hotpath.json"
+echo "BENCH_jit.json BENCH_costmodel.json (gated against the committed baseline)"
