@@ -10,11 +10,17 @@
 //! it takes, and those runs differ only in their timer seed: they inject
 //! no faults, and a run's seed reaches nothing but its [`NoisyTimer`], so
 //! every run executes the same invocations to the same true cycles,
-//! contexts and counter rows. Each cell therefore simulates one run and
+//! contexts and counter rows. Each cell therefore executes one run and
 //! records per invocation what a measured run reads from it; measured run
 //! `r` is `NoisyTimer::new(spec, base + r)` drawn over that record in
 //! order, one draw per timed execution, as a fault-free
-//! `RunHarness::try_execute_timed` would draw.
+//! `RunHarness::try_execute_timed` would draw. The CBR and MBR cells run
+//! on one engine throughout, so their run fast-forwards proven repeats
+//! (`RunHarness::run_engine`): an invocation that repeats the previous
+//! one from a recency-equal cache and predictor state is charged its
+//! record instead of simulated, to the same true cycles and counters.
+//! The RBR cell's restores touch the caches between executions, so it
+//! simulates every one.
 //!
 //! The collectors run the rating layer's own pieces, not copies of them:
 //! the CBR plan's context classifier, the MBR model's fit, and the
@@ -26,7 +32,6 @@ use crate::harness::RunHarness;
 use crate::rating::rbr_ratio;
 use crate::stats;
 use crate::version_cache::{VersionCache, VersionKey};
-use peak_ir::Value;
 use peak_obs::{event, Tracer};
 use peak_opt::OptConfig;
 use peak_sim::{ExecOptions, MachineSpec, NoisyTimer, SimMetrics};
@@ -132,32 +137,29 @@ pub fn consistency_rows_traced(
     rows
 }
 
-/// Simulate one fresh train run and return one entry per invocation.
-/// `step` executes an invocation untimed and returns its entry and
-/// whether a measured run can use a later invocation; the run stops at
-/// the first `false`. Emits the run's `sim.run` event.
+/// Execute one fresh train run with `run` and emit the run's `sim.run`
+/// event.
 fn simulate<T>(
     workload: &dyn Workload,
     spec: &MachineSpec,
     tracer: &Tracer,
-    mut step: impl FnMut(&mut RunHarness<'_>, &[Value]) -> (T, bool),
-) -> Vec<T> {
+    run: impl FnOnce(&mut RunHarness<'_>) -> T,
+) -> T {
     // The seed is the timer's only input, and this run's timer is never read.
     let mut h = RunHarness::new(workload, Dataset::Train, spec, 0);
-    let mut trace = Vec::new();
-    while let Some(args) = h.next_args() {
-        let (entry, more) = step(&mut h, &args);
-        trace.push(entry);
-        if !more {
-            break;
-        }
-    }
+    let out = run(&mut h);
     if tracer.enabled() {
         if let Json::Obj(fields) = SimMetrics::snapshot(&h.machine).to_json() {
             tracer.emit("sim.run", fields);
         }
     }
-    trace
+    out
+}
+
+/// Panic on a failed execution of a Table 1 run (the workloads are
+/// fault-free by construction).
+fn expect_ran(workload: &dyn Workload, ran: Result<(), peak_sim::ExecError>) {
+    ran.unwrap_or_else(|e| panic!("workload {} execution failed: {e}", workload.name()));
 }
 
 fn chunked_stats(samples: &[f64], w: usize, relative: bool) -> (f64, f64) {
@@ -189,14 +191,18 @@ fn cbr_rows(
     // Each invocation's context and true cycles, until this run alone
     // has filled every context.
     let mut filled = vec![0; n_ctx];
-    let trace = simulate(workload, spec, tracer, |h, args| {
-        let ctx = plan.context_of(h, args);
-        if let Some(c) = ctx {
-            filled[c] += 1;
-        }
-        let cycles = h.execute(&*pv, args, &opts).true_cycles;
-        ((ctx, cycles), filled.iter().any(|&n| n < RAW_SAMPLES))
+    let mut trace = Vec::new();
+    let ran = simulate(workload, spec, tracer, |h| {
+        h.run_engine(&*pv, &opts, &plan.sources, |_, inv| {
+            let ctx = plan.context_index(inv.context);
+            if let Some(c) = ctx {
+                filled[c] += 1;
+            }
+            trace.push((ctx, inv.true_cycles));
+            filled.iter().any(|&n| n < RAW_SAMPLES)
+        })
     });
+    expect_ran(workload, ran);
     let mut per_ctx: Vec<Vec<f64>> = vec![Vec::new(); n_ctx];
     let mut seed = 100;
     let mut runs = 0;
@@ -253,11 +259,15 @@ fn mbr_row(
     );
     let opts = ExecOptions { record_writes: false, num_counters: model.num_counters };
     // Each invocation's true cycles and count row. A row uses every
-    // invocation of every run, so the run is simulated whole.
-    let trace = simulate(workload, spec, tracer, |h, args| {
-        let res = h.execute(&*pv, args, &opts);
-        ((res.true_cycles, model.count_row(args, &res.counters)), true)
+    // invocation of every run, so the run is executed whole.
+    let mut trace = Vec::new();
+    let ran = simulate(workload, spec, tracer, |h| {
+        h.run_engine(&*pv, &opts, &[], |_, inv| {
+            trace.push((inv.true_cycles, model.count_row(inv.args, inv.counters)));
+            true
+        })
     });
+    expect_ran(workload, ran);
     let mut times: Vec<f64> = Vec::new();
     let mut counts: Vec<Vec<f64>> = Vec::new();
     let mut seed = 200;
@@ -307,13 +317,16 @@ fn rbr_row(
     // The rating layer's improved protocol, experimental version = base
     // version: each invocation's two timed executions, up to one per
     // sample.
-    let mut sampled = 0;
-    let trace = simulate(workload, spec, tracer, |h, args| {
-        let pair = h
-            .rbr_improved(&consultation.rbr, &*pv, [&*pv, &*pv], args, |_, cycles| cycles)
-            .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
-        sampled += 1;
-        (pair, sampled < RAW_SAMPLES)
+    let trace = simulate(workload, spec, tracer, |h| {
+        let mut trace = Vec::new();
+        while trace.len() < RAW_SAMPLES {
+            let Some(args) = h.next_args() else { break };
+            let pair = h
+                .rbr_improved(&consultation.rbr, &*pv, [&*pv, &*pv], &args, |_, cycles| cycles)
+                .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
+            trace.push(pair);
+        }
+        trace
     });
     let mut samples: Vec<f64> = Vec::new();
     let mut seed = 300;

@@ -93,7 +93,12 @@ impl CbrPlan {
     /// the most frequent, the one offline tuning rates, §2.2), or `None`
     /// for a context the profile never saw.
     pub(crate) fn context_of(&self, h: &RunHarness<'_>, args: &[Value]) -> Option<usize> {
-        let key = reduce_key(&h.context_key(&self.sources, args), &self.varying);
+        self.context_index(&h.context_key(&self.sources, args))
+    }
+
+    /// [`CbrPlan::context_of`] for a key already read over `sources`.
+    pub(crate) fn context_index(&self, key: &ContextKey) -> Option<usize> {
+        let key = reduce_key(key, &self.varying);
         self.contexts.iter().position(|(k, _)| *k == key)
     }
 }
@@ -101,7 +106,10 @@ impl CbrPlan {
 /// RBR plan: what to save/restore.
 #[derive(Debug, Clone)]
 pub struct RbrPlan {
-    /// `Modified_Input` regions (read ∩ written), paper Eq. 6.
+    /// Every region the TS may write: the save set. It contains the
+    /// paper's `Modified_Input` (read ∩ written, Eq. 6), the part that
+    /// affects re-execution fidelity, and adds the regions written but
+    /// never read, whose restore keeps program state correct.
     pub modified_regions: Vec<MemId>,
     /// Full input regions (reads) — the basic method's larger save set.
     pub input_regions: Vec<MemId>,
@@ -158,7 +166,6 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
     // --- RBR plan (always applicable; our TSs avoid side-effecting
     // library calls by construction, §2.4.1). ---
     let effects = mem_effects(prog, ts);
-    let modified = effects.modified_input();
     // Restoring must undo every write; writes to regions the TS never
     // reads still change program state, so the save set is the write set
     // (which contains read∩written). The paper's Modified_Input is the
@@ -175,7 +182,6 @@ pub fn consult(workload: &dyn Workload, spec: &peak_sim::MachineSpec) -> Consult
         modified_elems,
         inspector: modified_elems > INSPECTOR_THRESHOLD_ELEMS,
     };
-    let _ = modified;
     // --- CBR: Figure-1 analysis + context profile. ---
     let mut cbr = None;
     if let ContextAnalysis::Applicable(sources) = context_set(prog.func(ts)) {
@@ -239,14 +245,13 @@ fn profile_mbr_quality(
     let mut times = Vec::new();
     let mut counts = Vec::new();
     let n = PROFILE_INVOCATIONS.min(workload.invocations(Dataset::Train));
-    for _ in 0..n {
-        let Some(args) = h.next_args() else { break };
-        let (measured, res) = h
-            .try_execute_timed(&*pv, &args, &opts)
-            .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
-        times.push(measured.expect("no fault plan, no dropout") as f64);
-        counts.push(model.count_row(&args, &res.counters));
-    }
+    h.run_engine(&*pv, &opts, &[], |machine, inv| {
+        let measured = machine.measure(inv.true_cycles).expect("no fault plan, no dropout");
+        times.push(measured as f64);
+        counts.push(model.count_row(inv.args, inv.counters));
+        times.len() < n
+    })
+    .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name()));
     // Trim outlier rows jointly (by time) before fitting.
     let (ft, fc) = crate::stats::trimmed_rows(&times, &counts);
     match model.fit_profile_times(&ft, &fc) {

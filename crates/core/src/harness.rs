@@ -9,40 +9,101 @@
 
 use crate::consultant::RbrPlan;
 use crate::context::ContextKey;
-use peak_ir::{MemId, MemoryImage, Value};
+use peak_ir::{ContextSource, MemId, MemoryImage, Value};
 use peak_sim::{
     AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, FaultPlan, MachineSpec,
-    MachineState, TierBackend,
+    MachineState, SimMetrics, TierBackend, TimingStamp, TimingState,
 };
 use peak_workloads::{Dataset, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// How many words of saved timing state ([`TimingState::words`]) one
+/// simulated statement outweighs, at least: on a 2-vCPU x86-64 VM a
+/// statement took 10-17 ns to simulate (APPLU, SWIM) while saving and
+/// comparing a SPARC-II or Pentium-IV state took 1.0-1.5 ns per word, a
+/// ratio of 7-15. [`RunHarness::run_engine`] saves a state only before
+/// an invocation whose predecessor executed more than
+/// `words / WORDS_PER_STATEMENT` statements, so a snapshot that proves
+/// nothing costs at most about a third of the simulation beside it.
+const WORDS_PER_STATEMENT: u64 = 2;
+
 /// Cycle cost of copying one element during RBR save/restore, on top of
 /// the cache traffic (loop + addressing overhead of the copy code).
 const COPY_OVERHEAD_PER_ELEM: u64 = 1;
 
-/// Flush a run's pending invocation count into the shared
-/// `core.harness.invocations` counter. The per-invocation path just
-/// bumps a plain field on the harness (no atomic at all); this commits
-/// the batch — one `fetch_add` per run instead of one per invocation —
-/// at run end and on harness drop, so metrics consumers that read after
+/// Invocations a run has counted but not yet committed to the shared
+/// metrics: the per-invocation path bumps plain fields on the harness
+/// (no atomic at all); [`Pending::flush`] commits the batch — one
+/// `fetch_add` per counter per run instead of one per invocation — at
+/// run end and on harness drop, so metrics consumers that read after
 /// jobs complete see identical totals to the unbatched scheme.
-#[inline]
-fn flush_invocation_count(pending: &mut u64) {
-    use peak_obs::metrics::{self, Counter, MetricsRegistry};
-    use std::sync::OnceLock;
-    if *pending == 0 || !metrics::enabled() {
-        return;
+#[derive(Debug, Default)]
+struct Pending {
+    /// `core.harness.invocations`: every invocation, simulated or not.
+    invocations: u64,
+    /// `core.harness.fast_forwarded`: invocations charged from a proven
+    /// repeat instead of simulated.
+    fast_forwarded: u64,
+}
+
+impl Pending {
+    #[inline]
+    fn flush(&mut self) {
+        use peak_obs::metrics::{self, Counter, MetricsRegistry};
+        use std::sync::{Arc, OnceLock};
+        if self.invocations == 0 || !metrics::enabled() {
+            return;
+        }
+        static INVOCATIONS: OnceLock<Arc<Counter>> = OnceLock::new();
+        static FAST_FORWARDED: OnceLock<Arc<Counter>> = OnceLock::new();
+        INVOCATIONS
+            .get_or_init(|| {
+                MetricsRegistry::global()
+                    .counter("core.harness.invocations", "TS invocations executed")
+            })
+            .add(self.invocations);
+        if self.fast_forwarded > 0 {
+            FAST_FORWARDED
+                .get_or_init(|| {
+                    MetricsRegistry::global().counter(
+                        "core.harness.fast_forwarded",
+                        "TS invocations charged from a proven repeat instead of simulated",
+                    )
+                })
+                .add(self.fast_forwarded);
+        }
+        *self = Pending::default();
     }
-    static INVOCATIONS: OnceLock<std::sync::Arc<Counter>> = OnceLock::new();
-    INVOCATIONS
-        .get_or_init(|| {
-            MetricsRegistry::global()
-                .counter("core.harness.invocations", "TS invocations executed")
-        })
-        .add(*pending);
-    *pending = 0;
+}
+
+/// One invocation of [`RunHarness::run_engine`], as its step sees it
+/// after it ran.
+#[derive(Debug)]
+pub struct Ran<'a> {
+    /// The invocation's arguments.
+    pub args: &'a [Value],
+    /// Its context key over the loop's context sources, read before it
+    /// ran.
+    pub context: &'a ContextKey,
+    /// Its exact simulated cycles.
+    pub true_cycles: u64,
+    /// Its instrumentation counters.
+    pub counters: &'a [u64],
+}
+
+/// A simulated invocation that left the caches and predictor
+/// recency-equal to the state saved before it: a repeat of it from the
+/// state it left takes exactly its time and leaves that state again.
+struct Proven {
+    true_cycles: u64,
+    counters: Vec<u64>,
+    /// Its machine counters, charged once per repeat.
+    delta: SimMetrics,
+    /// The machine's timing stamp when it, or its last charged repeat,
+    /// ended: a different stamp means something touched the caches or
+    /// predictor since.
+    stamp: TimingStamp,
 }
 
 /// One application run.
@@ -62,9 +123,9 @@ pub struct RunHarness<'w> {
     stream: Option<std::sync::Arc<peak_workloads::stream::ArgStream>>,
     next_inv: usize,
     limit: usize,
-    /// Invocations executed but not yet committed to the shared metrics
-    /// counter (batched per run; flushed at stream end and on drop).
-    pending_invs: u64,
+    /// Invocations not yet committed to the shared metrics counters
+    /// (batched per run; flushed at stream end and on drop).
+    pending: Pending,
     /// Reusable executor buffers: the steady-state invocation path of a
     /// run allocates nothing.
     scratch: ExecScratch,
@@ -138,7 +199,7 @@ impl<'w> RunHarness<'w> {
             stream,
             next_inv: 0,
             limit,
-            pending_invs: 0,
+            pending: Pending::default(),
             scratch: ExecScratch::new(),
         }
     }
@@ -153,7 +214,7 @@ impl<'w> RunHarness<'w> {
     /// Returns `None` when the run is over.
     pub fn next_args(&mut self) -> Option<Vec<Value>> {
         if self.next_inv >= self.limit {
-            flush_invocation_count(&mut self.pending_invs);
+            self.pending.flush();
             return None;
         }
         let args = match &self.stream {
@@ -208,7 +269,7 @@ impl<'w> RunHarness<'w> {
         args: &[Value],
         opts: &ExecOptions,
     ) -> Result<ExecResult, ExecError> {
-        self.pending_invs += 1;
+        self.pending.invocations += 1;
         crate::tier::count_tier(version);
         version.execute(args, &mut self.mem, &self.amap, &mut self.machine, opts, &mut self.scratch)
     }
@@ -226,6 +287,147 @@ impl<'w> RunHarness<'w> {
         let res = self.try_execute(version, args, opts)?;
         let measured = self.machine.measure(res.true_cycles);
         Ok((measured, res))
+    }
+
+    /// Run the rest of this run on one engine: produce each invocation's
+    /// arguments, read its context key over `context`, execute it with
+    /// `opts`, and hand it to `step` with the machine, so `step` can
+    /// draw the noisy timer over its true cycles. The run stops when the
+    /// stream ends, when `step` returns `false`, or at the first failing
+    /// execution, whose error is returned. Production runs, WHL ratings,
+    /// the consultant's MBR profile and the Table 1 CBR/MBR collectors
+    /// run this loop; runs that rotate versions, the RBR protocol, and
+    /// the timed loops of benches call [`RunHarness::try_execute`],
+    /// which simulates every invocation (the oracle of this loop).
+    ///
+    /// **Repeats are charged, not simulated.** An invocation is charged
+    /// from the previous one's record — its true cycles, counters and
+    /// [`SimMetrics`] delta — when all of these hold:
+    ///
+    /// * its arguments equal the previous invocation's, floats compared
+    ///   by bits (engine and options are the loop's);
+    /// * that invocation was simulated from a saved [`TimingState`] and
+    ///   left the caches and predictor recency-equal to it
+    ///   ([`TimingState::matches`]);
+    /// * nothing touched the caches or predictor since it ended (its
+    ///   [`TimingStamp`] is unchanged);
+    /// * the engine's [`TimingInputs`](peak_sim::TimingInputs) are
+    ///   bounded, and neither the engine nor the argument stream writes
+    ///   them ([`held_against`](peak_sim::TimingInputs::held_against)
+    ///   the memoized stream's written regions), and the engine writes
+    ///   no region a global-scalar context source reads;
+    /// * no fault plan is installed and `opts` records no write log.
+    ///
+    /// Then the repeat has the same control flow and addresses from an
+    /// equal state, so it takes the same time and leaves the state
+    /// recency-equal again. A state is saved only before an invocation
+    /// whose arguments repeat the previous one's and whose predecessor
+    /// executed enough statements to outweigh saving and comparing the
+    /// state's words ([`TimingState::words`], `WORDS_PER_STATEMENT`), a
+    /// rule the cache geometry of the run's machine decides. A charged
+    /// invocation counts as a harness invocation and in
+    /// `core.harness.fast_forwarded`, not against a tier.
+    ///
+    /// **Memory.** A charged invocation writes nothing: memory outside
+    /// the engine's timing inputs is left as the simulated invocations
+    /// left it, so after a fast-forwarded repeat it can differ from a
+    /// run that simulated everything (the return value is not kept for
+    /// the same reason). No value it would have written can reach this
+    /// engine's timing — the engine writes none of its timing inputs —
+    /// and only this engine runs in the loop, so nothing in the loop
+    /// can read those regions; the context key reads only arguments and
+    /// regions the engine does not write.
+    pub fn run_engine(
+        &mut self,
+        engine: &dyn TierBackend,
+        opts: &ExecOptions,
+        context: &[ContextSource],
+        mut step: impl FnMut(&mut MachineState, Ran<'_>) -> bool,
+    ) -> Result<(), ExecError> {
+        let steady = self.holds_timing_inputs(engine, opts, context);
+        let snapshot_statements = TimingState::words(&self.machine.spec) / WORDS_PER_STATEMENT;
+        let mut saved: Option<TimingState> = None;
+        // The previous invocation's arguments, kept only when repeats
+        // can be charged and it executed enough statements to pay for a
+        // saved state.
+        let mut prev: Option<Vec<Value>> = None;
+        let mut proven: Option<Proven> = None;
+        while let Some(args) = self.next_args() {
+            let context = &self.context_key(context, &args);
+            let repeat = prev.as_ref().is_some_and(|p| same_bits(p, &args));
+            if let Some(p) = proven.as_mut().filter(|p| {
+                repeat && p.stamp == self.machine.timing_stamp() && self.machine.faults.is_none()
+            }) {
+                self.machine.charge(&p.delta);
+                p.stamp = self.machine.timing_stamp();
+                self.pending.invocations += 1;
+                self.pending.fast_forwarded += 1;
+                let ran =
+                    Ran { args: &args, context, true_cycles: p.true_cycles, counters: &p.counters };
+                if !step(&mut self.machine, ran) {
+                    break;
+                }
+                continue;
+            }
+            proven = None;
+            // A repeat of an invocation big enough to pay for a saved
+            // state: save the state it starts from, and prove it repeats
+            // if it leaves that state again.
+            let before = repeat.then(|| {
+                TimingState::save(&mut saved, &self.machine);
+                SimMetrics::snapshot(&self.machine)
+            });
+            let statements = self.machine.instructions;
+            let res = self.try_execute(engine, &args, opts)?;
+            let work = self.machine.instructions - statements;
+            if let Some(before) = before {
+                if saved.as_ref().is_some_and(|s| s.matches(&self.machine)) {
+                    proven = Some(Proven {
+                        true_cycles: res.true_cycles,
+                        counters: res.counters.clone(),
+                        delta: SimMetrics::snapshot(&self.machine).delta(&before),
+                        stamp: self.machine.timing_stamp(),
+                    });
+                }
+            }
+            let ran = Ran {
+                args: &args,
+                context,
+                true_cycles: res.true_cycles,
+                counters: &res.counters,
+            };
+            let more = step(&mut self.machine, ran);
+            prev = (steady && work > snapshot_statements).then_some(args);
+            if !more {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `engine`'s timing inputs stay put over this run under
+    /// `opts` (the static conditions of [`RunHarness::run_engine`]'s
+    /// fast path): they are bounded, neither the engine nor the memoized
+    /// argument stream writes them, the engine writes no region a
+    /// global-scalar context source reads, no fault plan is installed
+    /// and no write log is recorded. The live generator's writes are
+    /// not recorded, so a live-stream run simulates everything.
+    fn holds_timing_inputs(
+        &self,
+        engine: &dyn TierBackend,
+        opts: &ExecOptions,
+        context: &[ContextSource],
+    ) -> bool {
+        let (Some(t), Some(stream)) = (engine.timing_inputs(), &self.stream) else {
+            return false;
+        };
+        !opts.record_writes
+            && self.machine.faults.is_none()
+            && t.held_against(&stream.written_regions)
+            && context.iter().all(|s| match s {
+                ContextSource::Param(_) => true,
+                ContextSource::GlobalScalar { mem, .. } => !t.writes.contains(mem),
+            })
     }
 
     /// Context key for the upcoming invocation: reads the context sources
@@ -329,11 +531,16 @@ impl<'w> RunHarness<'w> {
     }
 }
 
+/// Argument vectors equal bit for bit (floats by their bits).
+fn same_bits(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| peak_ir::values_eq(x, y))
+}
+
 impl Drop for RunHarness<'_> {
     fn drop(&mut self) {
         // Commit any invocations not yet flushed (runs abandoned before
         // stream exhaustion — fault aborts, partial ratings).
-        flush_invocation_count(&mut self.pending_invs);
+        self.pending.flush();
     }
 }
 

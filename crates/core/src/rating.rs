@@ -808,14 +808,14 @@ fn rate_whl(setup: &mut TuningSetup<'_>, base: OptConfig, candidates: &[OptConfi
     for cfg in &all {
         let v = setup.version(*cfg, false);
         let mut h = setup.new_run();
-        while let Some(args) = h.next_args() {
-            setup.invocations_used += 1;
-            if let Err(e) = h.try_execute(&*v, &args, &opts) {
-                // Best-effort terminal method: score the partial run.
-                abandon_run(setup.workload, e);
-                crashes += 1;
-                break;
-            }
+        let left = h.remaining();
+        let ran = h.run_engine(&*v, &opts, &[], |_, _| true);
+        // Every invocation started counts, a crashing one too.
+        setup.invocations_used += (left - h.remaining()) as u64;
+        if let Err(e) = ran {
+            // Best-effort terminal method: score the partial run.
+            abandon_run(setup.workload, e);
+            crashes += 1;
         }
         // Whole-program timing is a single wall-clock reading; dropout of
         // per-invocation measurements does not apply, so fall back to the

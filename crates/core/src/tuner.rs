@@ -85,10 +85,8 @@ pub fn production_time(
     let engine = cache.prepare_workload(workload, spec, cfg);
     cache.production_cycles(&engine, ds, || {
         let mut h = crate::harness::RunHarness::new(workload, ds, spec, 0);
-        let opts = ExecOptions::default();
-        while let Some(args) = h.next_args() {
-            let _ = h.execute(&*engine, &args, &opts);
-        }
+        h.run_engine(&*engine, &ExecOptions::default(), &[], |_, _| true)
+            .unwrap_or_else(|e| panic!("workload {} execution failed: {e}", workload.name()));
         h.cycles()
     })
 }

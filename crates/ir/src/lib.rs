@@ -5,7 +5,7 @@
 //! analyses the paper's rating methods rely on:
 //!
 //! * [`context_vars`] — the context-variable analysis of paper Figure 1
-//!   (CBR applicability),
+//!   (CBR applicability), and the timing inputs its walk also finds,
 //! * [`liveness`] — `Input(TS)`/`Def(TS)`/`Modified_Input(TS)` for RBR
 //!   (paper §2.4),
 //! * [`trip_count`] + [`instrument`] — compile-time block-entry expressions
@@ -48,7 +48,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use cfg::{Cfg, Dominators};
-pub use context_vars::{context_set, ContextAnalysis, ContextSource};
+pub use context_vars::{context_set, timing_inputs, ContextAnalysis, ContextSource};
 pub use func::{Block, Function, VarInfo};
 pub use instrument::{instrument_block_counts, strip_counters, CountSource, CounterPlan};
 pub use interp::{ExecError, ExecOutcome, Interp, ObsTrace};

@@ -49,6 +49,8 @@
 //!
 //! A [`JitVersion`] is self-contained: once lowered, the version cache
 //! drops the [`PreparedVersion`] (IR and decoded blocks) it came from.
+//! The one analysis result it keeps from it is the version's
+//! [`TimingInputs`], which the run harness's repeat fast path reads.
 
 #![warn(missing_docs)]
 
@@ -60,7 +62,7 @@ pub use lower::{lower, DeoptReason, JitOptions};
 use peak_ir::{MemoryImage, Value};
 use peak_sim::{
     AddressMap, ExecError, ExecOptions, ExecResult, ExecScratch, ExecTier, MachineState,
-    PreparedVersion, TierBackend,
+    PreparedVersion, TierBackend, TimingInputs,
 };
 
 /// One function lowered to threaded code.
@@ -124,6 +126,9 @@ pub struct JitVersion {
     pub(crate) mispredict_penalty: u64,
     pub(crate) n_blocks: usize,
     pub(crate) n_ops: usize,
+    /// The prepared version's timing inputs, carried over because the
+    /// prepared version itself is dropped once lowered.
+    pub(crate) timing: Option<TimingInputs>,
 }
 
 impl JitVersion {
@@ -187,5 +192,9 @@ impl TierBackend for JitVersion {
 
     fn prepared(&self) -> Option<&PreparedVersion> {
         None
+    }
+
+    fn timing_inputs(&self) -> Option<&TimingInputs> {
+        self.timing.as_ref()
     }
 }

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use crate::ops::{self, Op, OpFn, Tag};
 use crate::{JitBlock, JitFunc, JitVersion, Term};
 use peak_ir::{MemBase, Operand, Rvalue, Stmt, Terminator, Value};
-use peak_sim::PreparedVersion;
+use peak_sim::{PreparedVersion, TierBackend};
 
 /// Lowering budgets. The JIT covers the complete IR, so these are the
 /// only sources of [`DeoptReason`].
@@ -231,6 +231,7 @@ pub fn lower(pv: &PreparedVersion, opts: &JitOptions) -> Result<JitVersion, Deop
         mispredict_penalty: p.mispredict_penalty(),
         n_blocks,
         n_ops,
+        timing: pv.timing_inputs().cloned(),
     })
 }
 

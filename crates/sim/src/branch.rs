@@ -13,6 +13,9 @@ pub struct BranchPredictor {
     /// machine spec): `hash & mask == hash % len` there, avoiding a
     /// 64-bit modulo per branch. Same index either way.
     mask: Option<usize>,
+    /// [`BranchPredictor::flush`] calls so far (a flush resets the
+    /// counts, so they alone cannot tell whether the table changed).
+    flushes: u64,
 }
 
 impl BranchPredictor {
@@ -20,7 +23,7 @@ impl BranchPredictor {
     pub fn new(entries: usize) -> Self {
         let n = entries.max(1);
         let mask = n.is_power_of_two().then(|| n - 1);
-        BranchPredictor { table: vec![1; n], correct: 0, wrong: 0, mask }
+        BranchPredictor { table: vec![1; n], correct: 0, wrong: 0, mask, flushes: 0 }
     }
 
     /// Table index `site` maps to in a table of `entries` counters — the
@@ -88,6 +91,34 @@ impl BranchPredictor {
         self.table.fill(1);
         self.correct = 0;
         self.wrong = 0;
+        self.flushes += 1;
+    }
+
+    /// Whether both tables (same size) hold the same counters — the
+    /// state that decides every later prediction. The correct/wrong
+    /// counts are not compared.
+    pub(crate) fn table_eq(&self, other: &BranchPredictor) -> bool {
+        self.table == other.table
+    }
+
+    /// Overwrite this predictor's table and counts with `src`'s (same
+    /// size), reusing the buffer.
+    pub(crate) fn copy_from(&mut self, src: &BranchPredictor) {
+        self.table.copy_from_slice(&src.table);
+        self.correct = src.correct;
+        self.wrong = src.wrong;
+        self.flushes = src.flushes;
+    }
+
+    /// Count `correct` and `wrong` more predictions without making them.
+    pub(crate) fn add_stats(&mut self, correct: u64, wrong: u64) {
+        self.correct += correct;
+        self.wrong += wrong;
+    }
+
+    /// Flushes so far.
+    pub(crate) fn flushes(&self) -> u64 {
+        self.flushes
     }
 }
 

@@ -301,6 +301,68 @@ impl Cache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// Whether `self` and `other` — two caches of one geometry — hold
+    /// the same lines in the same LRU order in every set: the state that
+    /// decides every later hit, miss and eviction. Which physical way
+    /// holds a line is not compared, nor are the hit/miss counters; a
+    /// set whose flush generation is stale holds no lines.
+    pub fn recency_eq(&self, other: &Cache) -> bool {
+        assert_eq!(self.params, other.params, "recency_eq compares caches of one geometry");
+        let ways = self.params.ways;
+        (0..self.params.sets).all(|set| {
+            let lanes = set * ways..(set + 1) * ways;
+            let same_words = self.gen == other.gen
+                && self.meta[set] == other.meta[set]
+                && self.tags[lanes.clone()] == other.tags[lanes.clone()]
+                && (ways <= 8 || self.order[lanes.clone()] == other.order[lanes]);
+            same_words || (0..ways).all(|k| self.tag_at_rank(set, k) == other.tag_at_rank(set, k))
+        })
+    }
+
+    /// The tag at recency rank `k` (0 = LRU) of `set`, [`EMPTY`] where
+    /// the rank holds no line.
+    fn tag_at_rank(&self, set: usize, k: usize) -> u64 {
+        let ways = self.params.ways;
+        let base = set * ways;
+        let gen = self.gen as u64;
+        if ways == 1 {
+            let word = self.tags[base];
+            return if word >> 32 == gen { word & 0xFFFF_FFFF } else { EMPTY };
+        }
+        if self.meta[set] >> 32 != gen {
+            return EMPTY;
+        }
+        let way = if ways > 8 {
+            self.order[base + k] as usize
+        } else {
+            ((self.meta[set] >> (4 * k)) & 0xF) as usize
+        };
+        self.tags[base + way]
+    }
+
+    /// Overwrite this cache's lines, recency order and counters with
+    /// `src`'s (same geometry), reusing the buffers.
+    pub(crate) fn copy_from(&mut self, src: &Cache) {
+        assert_eq!(self.params, src.params, "copy_from copies caches of one geometry");
+        self.tags.copy_from_slice(&src.tags);
+        self.meta.copy_from_slice(&src.meta);
+        self.order.copy_from_slice(&src.order);
+        self.gen = src.gen;
+        self.hits = src.hits;
+        self.misses = src.misses;
+    }
+
+    /// Count `hits` and `misses` more accesses without making them.
+    pub(crate) fn add_stats(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
+    }
+
+    /// Flush generation (bumped by every [`Cache::flush`]).
+    pub(crate) fn generation(&self) -> u32 {
+        self.gen
+    }
 }
 
 /// Shift/mask strength reduction of the set/line arithmetic for

@@ -19,6 +19,7 @@ use crate::branch::BranchPredictor;
 use crate::cache::{AddressMap, Hierarchy};
 use crate::faults::FaultPlan;
 use crate::machine::MachineSpec;
+use crate::tier::TimingInputs;
 use crate::timer::NoisyTimer;
 use peak_ir::{
     MemBase, MemId, MemRef, MemoryImage, Operand, PtrVal, Rvalue, Stmt, Terminator, Value, VarId,
@@ -211,6 +212,7 @@ pub struct PreparedVersion {
     pub slot_base: Vec<u32>,
     decoded: Vec<DecodedFunc>,
     params: ExecParams,
+    timing: Option<TimingInputs>,
 }
 
 impl PreparedVersion {
@@ -375,6 +377,7 @@ impl PreparedVersion {
                 .collect::<Box<[_]>>();
             decoded.push(DecodedFunc { blocks });
         }
+        let timing = TimingInputs::of(&version);
         PreparedVersion {
             version,
             spill_slot,
@@ -383,6 +386,7 @@ impl PreparedVersion {
             slot_base,
             decoded,
             params,
+            timing,
         }
     }
 
@@ -428,6 +432,10 @@ impl crate::tier::TierBackend for PreparedVersion {
 
     fn prepared(&self) -> Option<&PreparedVersion> {
         Some(self)
+    }
+
+    fn timing_inputs(&self) -> Option<&TimingInputs> {
+        self.timing.as_ref()
     }
 }
 

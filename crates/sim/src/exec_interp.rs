@@ -52,6 +52,10 @@ impl TierBackend for InterpVersion {
     fn prepared(&self) -> Option<&PreparedVersion> {
         Some(&self.0)
     }
+
+    fn timing_inputs(&self) -> Option<&crate::tier::TimingInputs> {
+        self.0.timing_inputs()
+    }
 }
 
 /// Execute one invocation on the slow tier. Same contract (and same

@@ -21,7 +21,10 @@
 //!   robustness testing of the tuning layer;
 //! * [`metrics`] — cumulative counter snapshots ([`SimMetrics`]) the
 //!   tuning layer diffs at measurement boundaries for telemetry; the
-//!   simulator itself stays free of any tracing dependency.
+//!   simulator itself stays free of any tracing dependency;
+//! * [`steady`] — saved cache and predictor state, compared by recency
+//!   order, and charging a measured invocation again without simulating
+//!   it (the run harness's fast path for exact repeats).
 
 #![warn(missing_docs)]
 
@@ -32,6 +35,7 @@ pub mod exec_interp;
 pub mod faults;
 pub mod machine;
 pub mod metrics;
+pub mod steady;
 pub mod tier;
 pub mod timer;
 
@@ -43,7 +47,8 @@ pub use exec::{
     STEP_LIMIT,
 };
 pub use exec_interp::InterpVersion;
-pub use tier::{ExecTier, TierBackend};
+pub use steady::{TimingStamp, TimingState};
+pub use tier::{ExecTier, TierBackend, TimingInputs};
 pub use faults::{FaultConfig, FaultPlan, FaultStats};
 pub use machine::{CacheParams, MachineKind, MachineSpec};
 pub use metrics::SimMetrics;

@@ -26,7 +26,8 @@
 
 use crate::cache::AddressMap;
 use crate::exec::{ExecError, ExecOptions, ExecResult, ExecScratch, MachineState, PreparedVersion};
-use peak_ir::{MemoryImage, Value};
+use peak_ir::{MemId, MemoryImage, Value};
+use peak_opt::CompiledVersion;
 
 /// Which execution engine runs TS invocations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -102,11 +103,57 @@ pub trait TierBackend: Send + Sync {
     /// The prepared version this engine interprets. `None` for lowered
     /// code, which carries no interpretive body.
     fn prepared(&self) -> Option<&PreparedVersion>;
+
+    /// The memory this engine's timing depends on, analysed once when
+    /// the version was prepared; `None` where the analysis cannot bound
+    /// it.
+    fn timing_inputs(&self) -> Option<&TimingInputs>;
+}
+
+/// What a version's invocations read and write in memory that matters
+/// for repeating one: the regions whose loaded values can reach its
+/// timing ([`peak_ir::timing_inputs`] on the compiled entry function)
+/// and the regions it may write ([`peak_ir::mem_effects`]). Both sorted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TimingInputs {
+    /// Regions whose contents can change the version's timing.
+    pub reads: Box<[MemId]>,
+    /// Regions the version may write.
+    pub writes: Box<[MemId]>,
+}
+
+impl TimingInputs {
+    /// Analyse `version`'s entry function; `None` where the timing
+    /// inputs cannot be bounded (calls, imprecise pointers).
+    pub fn of(version: &CompiledVersion) -> Option<TimingInputs> {
+        let reads = peak_ir::timing_inputs(version.program.func(version.func))?;
+        let writes = peak_ir::mem_effects(&version.program, version.func).writes;
+        Some(TimingInputs { reads: reads.into(), writes: writes.into() })
+    }
+
+    /// Whether the timing inputs stay put across invocations: the
+    /// version writes none of them, and neither does whoever writes
+    /// `others` between invocations. Then two invocations with equal
+    /// arguments read equal timing inputs.
+    pub fn held_against(&self, others: &[MemId]) -> bool {
+        self.reads.iter().all(|m| !self.writes.contains(m) && !others.contains(m))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn timing_inputs_hold_only_when_nobody_writes_them() {
+        let t =
+            TimingInputs { reads: vec![MemId(1), MemId(2)].into(), writes: vec![MemId(3)].into() };
+        assert!(t.held_against(&[]));
+        assert!(t.held_against(&[MemId(0), MemId(3)]));
+        assert!(!t.held_against(&[MemId(2)]), "another writer of a timing input");
+        let own = TimingInputs { reads: vec![MemId(1)].into(), writes: vec![MemId(1)].into() };
+        assert!(!own.held_against(&[]), "the version writes its own timing input");
+    }
 
     #[test]
     fn tier_names_round_trip() {

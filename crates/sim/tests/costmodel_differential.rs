@@ -15,11 +15,21 @@
 //!   jit engines call) vs the hash-per-branch path
 //!   ([`peak_sim::BranchPredictor::mispredicted`], the interp engine's):
 //!   same stats, same misprediction count.
+//! - **Recency equality** ([`peak_sim::Cache::recency_eq`], what the run
+//!   harness's repeat fast path compares): caches that reach the same
+//!   LRU order through different histories — different physical ways,
+//!   different flush generations — compare equal and then make the same
+//!   hit/miss decisions as each other and as the [`peak_sim::RefCache`]
+//!   oracles driven through the same histories; a changed recency order
+//!   or a stale generation compares unequal.
 //!
 //! `PEAK_COSTMODEL_SEEDS` scales the stream count (default 200; CI runs
 //! 2000+).
 
-use peak_sim::{BranchPredictor, Cache, CacheParams, Hierarchy, MachineSpec, RefCache};
+use peak_sim::{
+    BranchPredictor, Cache, CacheParams, Hierarchy, MachineSpec, MachineState, RefCache,
+    TimingState,
+};
 
 fn seeds() -> u64 {
     std::env::var("PEAK_COSTMODEL_SEEDS")
@@ -220,6 +230,162 @@ fn bench_hierarchy_stencil() {
             t_ref,
             t_ref.as_secs_f64() / t_new.as_secs_f64()
         );
+    }
+}
+
+/// A compressed cache and its stamp oracle, driven in lockstep.
+struct Pair {
+    fast: Cache,
+    oracle: RefCache,
+}
+
+impl Pair {
+    fn new(params: CacheParams) -> Self {
+        Pair { fast: Cache::new(params), oracle: RefCache::new(params) }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let hit = self.fast.access(addr);
+        assert_eq!(hit, self.oracle.access(addr), "compressed cache left its oracle");
+        hit
+    }
+
+    fn flush(&mut self) {
+        self.fast.flush();
+        self.oracle.flush();
+    }
+
+    /// A random history: `n` accesses over three times the capacity,
+    /// with a flush about every 500.
+    fn scramble(&mut self, params: CacheParams, s: &mut u64, n: usize) {
+        let span = (params.capacity_elems() as u64 * 3).max(64);
+        for _ in 0..n {
+            let r = splitmix(s);
+            self.access((r >> 16) % span);
+            if r.is_multiple_of(500) {
+                self.flush();
+            }
+        }
+    }
+}
+
+/// Address of line `tag` of `set` under `params`.
+fn line_addr(params: CacheParams, set: u64, tag: u64) -> u64 {
+    (tag * params.sets as u64 + set) * params.line_elems as u64
+}
+
+#[test]
+fn recency_equal_caches_behave_identically() {
+    let n = seeds().div_ceil(10);
+    for params in geometries() {
+        let ways = params.ways as u64;
+        for seed in 0..n {
+            let mut s = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(7);
+            // Per set: untouched, or k ≤ ways distinct lines from `first`.
+            let plan: Vec<Option<(u64, u64)>> = (0..params.sets)
+                .map(|_| {
+                    let r = splitmix(&mut s);
+                    (!r.is_multiple_of(3)).then(|| (1 + (r >> 8) % ways, (r >> 20) % 64))
+                })
+                .collect();
+            // Different histories and flush generations; `b` also holds
+            // junk in the sets the plan fills, so its lines land in
+            // other physical ways than `a`'s.
+            let (mut a, mut b) = (Pair::new(params), Pair::new(params));
+            a.scramble(params, &mut s, 3000);
+            b.scramble(params, &mut s, 1700);
+            a.flush();
+            a.flush();
+            b.flush();
+            for (set, p) in plan.iter().enumerate() {
+                if let Some((k, _)) = *p {
+                    if k == ways {
+                        for j in 0..=(splitmix(&mut s) % ways) {
+                            b.access(line_addr(params, set as u64, 100 + j));
+                        }
+                    }
+                }
+            }
+            // The same touches on both: a set's lines and their LRU
+            // order now follow from the plan alone.
+            for pair in [&mut a, &mut b] {
+                for (set, p) in plan.iter().enumerate() {
+                    if let Some((k, first)) = *p {
+                        for t in first..first + k {
+                            pair.access(line_addr(params, set as u64, t));
+                        }
+                    }
+                }
+            }
+            assert!(a.fast.recency_eq(&b.fast), "{params:?} seed {seed}: equal order");
+            assert!(b.fast.recency_eq(&a.fast), "{params:?} seed {seed}: symmetric");
+            // A changed recency order: re-touch the LRU line of a set
+            // holding two or more (a hit that moves it to MRU), or, in a
+            // direct-mapped cache, put another line in a filled set.
+            let mut c = a.fast.clone();
+            let two_or_more = plan
+                .iter()
+                .enumerate()
+                .find_map(|(set, p)| p.filter(|&(k, _)| k >= 2).map(|(_, first)| (set, first)));
+            match two_or_more {
+                Some((set, first)) => assert!(c.access(line_addr(params, set as u64, first))),
+                None => {
+                    let set = plan.iter().position(Option::is_some).unwrap_or(0);
+                    assert!(!c.access(line_addr(params, set as u64, 500)));
+                }
+            }
+            assert!(!c.recency_eq(&a.fast), "{params:?} seed {seed}: changed order");
+            // A stale generation: the very same words, one flush later.
+            let mut stale = a.fast.clone();
+            stale.flush();
+            if plan.iter().any(Option::is_some) {
+                assert!(!stale.recency_eq(&a.fast), "{params:?} seed {seed}: stale generation");
+                assert!(!a.fast.recency_eq(&stale), "{params:?} seed {seed}: stale, other side");
+            }
+            // Same decisions from here on, on a seeded follow-on stream,
+            // for both caches and both oracles (`Pair::access` checks
+            // each against its oracle).
+            let span = (params.capacity_elems() as u64 * 2).max(64);
+            for i in 0..2000 {
+                let addr = (splitmix(&mut s) >> 16) % span;
+                assert_eq!(a.access(addr), b.access(addr), "{params:?} seed {seed} step {i}");
+            }
+            assert!(a.fast.recency_eq(&b.fast), "{params:?} seed {seed}: stay equal");
+        }
+    }
+}
+
+/// The machine-level comparison the run harness makes: a saved state
+/// matches a machine that reached the same LRU order and predictor
+/// table another way, and not one whose predictor moved.
+#[test]
+fn saved_timing_state_matches_recency_equal_machines() {
+    for spec in [MachineSpec::sparc_ii(), MachineSpec::pentium_iv()] {
+        let mut a = MachineState::noiseless(spec.clone());
+        let mut b = MachineState::noiseless(spec.clone());
+        let mut s = 99u64;
+        for _ in 0..5000 {
+            let _ = a.caches.access(splitmix(&mut s) % 200_000);
+        }
+        let _ = b.caches.access(123_456);
+        b.caches.flush();
+        // Every L2 set, then every L1 set, gets `ways` distinct lines in
+        // the same order on both machines.
+        for level in [spec.l2, spec.l1] {
+            for set in 0..level.sets as u64 {
+                for t in 0..level.ways as u64 {
+                    let addr = line_addr(level, set, 1000 + t);
+                    let _ = a.caches.access(addr);
+                    let _ = b.caches.access(addr);
+                }
+            }
+        }
+        let mut saved = None;
+        TimingState::save(&mut saved, &a);
+        let saved = saved.unwrap();
+        assert!(saved.matches(&b), "{:?}: recency-equal machines", spec.kind);
+        let _ = b.predictor.mispredicted(5, true);
+        assert!(!saved.matches(&b), "{:?}: predictor moved", spec.kind);
     }
 }
 

@@ -19,9 +19,10 @@
 //! from the tuning hot path.
 //!
 //! The oracle for this fast path is the live generator itself:
-//! `arg_stream_differential` in peak-core runs memoized and live
-//! harnesses side by side over every workload × dataset and requires
-//! identical args, memory evolution, and cycle observables.
+//! `costmodel_equivalence::memoized_stream_matches_live_generation` in
+//! peak-core runs memoized and live harnesses side by side over every
+//! workload × dataset and requires identical args, memory evolution,
+//! and cycle observables.
 
 use crate::{Dataset, Workload};
 use peak_ir::{MemId, MemoryImage, Value};
@@ -63,6 +64,10 @@ pub struct ArgStream {
     pub init_mem: MemoryImage,
     /// Per-invocation records, in stream order.
     pub invocations: Vec<InvRecord>,
+    /// Every region a between-invocation write touches, sorted. A
+    /// region outside this set keeps its post-`setup` contents unless
+    /// the tuning section itself writes it.
+    pub written_regions: Vec<MemId>,
 }
 
 impl ArgStream {
@@ -81,7 +86,11 @@ impl ArgStream {
             let writes = mem.end_journal();
             invocations.push(InvRecord { args, writes });
         }
-        ArgStream { init_mem, invocations }
+        let mut written_regions: Vec<MemId> =
+            invocations.iter().flat_map(|r| r.writes.iter().map(|&(m, ..)| m)).collect();
+        written_regions.sort_unstable();
+        written_regions.dedup();
+        ArgStream { init_mem, invocations, written_regions }
     }
 
     /// Approximate heap footprint in bytes (pool accounting).
@@ -113,6 +122,9 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(stream_seed(ds));
                 w.setup(ds, &mut live_mem, &mut rng);
                 assert!(stream.init_mem == live_mem, "{} {ds:?} init", w.name());
+                for rec in &stream.invocations {
+                    assert!(rec.writes.iter().all(|(m, ..)| stream.written_regions.contains(m)));
+                }
                 let mut replay_mem = stream.init_mem.clone();
                 let n = w.invocations(ds).min(25);
                 for inv in 0..n {
